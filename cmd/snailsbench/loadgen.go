@@ -57,7 +57,7 @@ type serveStats struct {
 	// StageBudget (with -trace) attributes traced time to pipeline stages
 	// across every trace the server still buffers: where a marginal
 	// millisecond of serving latency actually goes. Fractions are of total
-	// traced span time, not wall clock — stages overlap across a batch.
+	// traced span time, not wall clock — concurrent requests' stages overlap.
 	StageBudget []stageBudget `json:"stage_budget,omitempty"`
 	// TracesSampled reports how many buffered traces the budget covers.
 	TracesSampled int `json:"traces_sampled,omitempty"`
@@ -201,7 +201,7 @@ func workload(n int) []struct{ path, body string } {
 				`{"gold_sql":"SELECT a FROM t","pred_sql":"SELECT a FROM t WHERE b = 1"}`})
 		default:
 			// Consecutive requests share a (db, variant) block so concurrent
-			// workers actually exercise micro-batching; question ids cycle
+			// workers hit the same prompt memos at once; question ids cycle
 			// over a small window so repeats drive cache hits.
 			qid := (i % 7) + 1
 			block := i / 8
@@ -312,11 +312,11 @@ func hammer(client *http.Client, target string, reqs []struct{ path, body string
 // interleave reorders a request stream by a fixed stride coprime to its
 // length, deterministically spreading the workload's consecutive
 // same-(db, variant) blocks apart. The serial block order is right for a
-// single process (it feeds micro-batching), but a cluster client population
-// is many tenants hitting different databases at once — without the
-// interleave every in-flight request targets the same shard's block while
-// the other shards idle, and the table measures the stream's serialization
-// instead of the topology.
+// single process (it concentrates prompt-memo reuse), but a cluster client
+// population is many tenants hitting different databases at once — without
+// the interleave every in-flight request targets the same shard's block
+// while the other shards idle, and the table measures the stream's
+// serialization instead of the topology.
 func interleave(reqs []struct{ path, body string }) []struct{ path, body string } {
 	n := len(reqs)
 	if n == 0 {
@@ -346,9 +346,9 @@ func gcd(a, b int) int {
 // concurrency, so each shard sees the same per-shard load in every row and
 // speedup reports how much more traffic the topology absorbs in similar
 // wall clock. The per-shard concurrency is kept low (-cluster-concurrency,
-// default 2) so a lone shard is bound by its micro-batch window rhythm,
-// not the CPU; independent per-shard windows are exactly what sharding
-// parallelizes. Every row must complete error-free.
+// default 2) so a lone shard is bound by per-request latency in a closed
+// loop, not the CPU; independent per-shard request streams are exactly what
+// sharding parallelizes. Every row must complete error-free.
 func runClusterTable(cfg *benchConfig, counts []int, stdout, stderr io.Writer) ([]shardPoint, error) {
 	var points []shardPoint
 	var baseRPS float64
@@ -458,7 +458,7 @@ func runLoadgen(cfg *benchConfig, stdout, stderr io.Writer) int {
 		stats.ClientP99Millis = latencies[int(0.99*float64(n-1))]
 	}
 
-	// Pull the server's own counters (cache hit ratio, batching, p50/p99).
+	// Pull the server's own counters (cache hit ratio, coalescing, p50/p99).
 	if resp, err := client.Get(target + "/metricsz"); err == nil {
 		json.NewDecoder(resp.Body).Decode(&stats.Server)
 		resp.Body.Close()

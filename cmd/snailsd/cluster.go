@@ -6,7 +6,7 @@
 // -cluster-peers the shards already exist somewhere else and the router
 // only proxies. SIGTERM drains top-down: the router stops accepting,
 // in-flight proxies finish, then spawned workers get SIGTERM and drain
-// their own micro-batches before the supervisor reaps them.
+// their own in-flight requests before the supervisor reaps them.
 package main
 
 import (
@@ -48,12 +48,12 @@ func (c *config) workerArgs(name, addr string) []string {
 		"-shard-id", name,
 		"-timeout", c.timeout.String(),
 		"-cache", strconv.Itoa(c.cacheEntries),
-		"-batch-window", c.batchWindow.String(),
-		"-batch-max", strconv.Itoa(c.maxBatch),
 		"-workers", strconv.Itoa(c.workers),
 		"-preload=" + strconv.FormatBool(c.preload),
 		"-drain-grace", c.drainGrace.String(),
 		"-trace-buffer", strconv.Itoa(c.traceBuffer),
+		"-canonical-log-every", strconv.Itoa(c.canonEvery),
+		"-pprof=" + strconv.FormatBool(c.pprof),
 		"-log-format", c.logFormat,
 		"-log-level", c.logLevel,
 	}

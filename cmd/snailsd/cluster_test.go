@@ -45,7 +45,8 @@ func TestParseFlagsCluster(t *testing.T) {
 // workerArgs must round-trip through parseFlags: whatever the router passes
 // to a spawned shard has to be a valid worker invocation.
 func TestWorkerArgsRoundTrip(t *testing.T) {
-	parent, err := parseFlags([]string{"-cluster", "-cache", "99", "-batch-window", "7ms", "-preload=false"}, io.Discard)
+	parent, err := parseFlags([]string{"-cluster", "-cache", "99", "-timeout", "7s", "-preload=false",
+		"-canonical-log-every", "17", "-pprof"}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,8 +57,11 @@ func TestWorkerArgsRoundTrip(t *testing.T) {
 	if child.shardID != "shard-3" || child.addr != "127.0.0.1:1234" {
 		t.Errorf("worker identity lost: %+v", child)
 	}
-	if child.cacheEntries != 99 || child.batchWindow != 7*time.Millisecond || child.preload {
+	if child.cacheEntries != 99 || child.timeout != 7*time.Second || child.preload {
 		t.Errorf("serving flags not propagated: %+v", child)
+	}
+	if child.canonEvery != 17 || !child.pprof {
+		t.Errorf("observability flags not propagated: canonical-log-every=%d pprof=%v", child.canonEvery, child.pprof)
 	}
 	if child.cluster {
 		t.Error("worker must not inherit -cluster")

@@ -6,7 +6,7 @@
 // observability pair.
 //
 // SIGINT/SIGTERM trigger a graceful shutdown: the listener stops accepting,
-// in-flight requests and queued micro-batches drain, and the process exits
+// in-flight and queued requests finish, and the process exits
 // 0. See DESIGN.md's "Serving layer" section for the architecture.
 package main
 
@@ -34,9 +34,6 @@ type config struct {
 	addr         string
 	timeout      time.Duration
 	cacheEntries int
-	batchWindow  time.Duration
-	batchFixed   bool
-	maxBatch     int
 	workers      int
 	preload      bool
 	drainGrace   time.Duration
@@ -65,9 +62,6 @@ func parseFlags(args []string, stderr io.Writer) (*config, error) {
 	fs.StringVar(&cfg.addr, "addr", ":8080", "listen address")
 	fs.DurationVar(&cfg.timeout, "timeout", 10*time.Second, "per-request deadline (504 on expiry)")
 	fs.IntVar(&cfg.cacheEntries, "cache", 4096, "response cache entries (negative disables caching)")
-	fs.DurationVar(&cfg.batchWindow, "batch-window", 2*time.Millisecond, "micro-batch accumulation window ceiling for /v1/infer")
-	fs.BoolVar(&cfg.batchFixed, "batch-fixed-window", false, "always wait the full batch window (disables adaptive immediate flush)")
-	fs.IntVar(&cfg.maxBatch, "batch-max", 16, "flush a micro-batch early at this many requests")
 	fs.IntVar(&cfg.workers, "workers", 0, "inference worker pool size (0 = GOMAXPROCS)")
 	fs.BoolVar(&cfg.preload, "preload", true, "build all databases and train the classifier before listening")
 	fs.DurationVar(&cfg.drainGrace, "drain-grace", 30*time.Second, "maximum time to drain in-flight work on shutdown")
@@ -113,9 +107,6 @@ func (c *config) serverConfig(log *slog.Logger) server.Config {
 	return server.Config{
 		RequestTimeout:    c.timeout,
 		CacheEntries:      c.cacheEntries,
-		BatchWindow:       c.batchWindow,
-		FixedBatchWindow:  c.batchFixed,
-		MaxBatch:          c.maxBatch,
 		Workers:           c.workers,
 		TraceBuffer:       c.traceBuffer,
 		CanonicalLogEvery: c.canonEvery,
@@ -191,7 +182,7 @@ func run(cfg *config, stderr io.Writer, ready chan<- string, signals <-chan os.S
 
 	// Graceful shutdown: flip /healthz to draining and reject new API
 	// requests, stop the listener and wait for in-flight handlers, then
-	// drain queued micro-batches and stop the worker pool.
+	// run any still-queued inference jobs and stop the worker pool.
 	s.BeginShutdown()
 	ctx, cancel := context.WithTimeout(context.Background(), cfg.drainGrace)
 	defer cancel()

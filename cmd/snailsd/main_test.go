@@ -20,8 +20,8 @@ func TestParseFlagsDefaults(t *testing.T) {
 	if cfg.addr != ":8080" || cfg.timeout != 10*time.Second || cfg.cacheEntries != 4096 {
 		t.Errorf("unexpected defaults: %+v", cfg)
 	}
-	if cfg.batchWindow != 2*time.Millisecond || cfg.maxBatch != 16 || cfg.workers != 0 {
-		t.Errorf("unexpected batching defaults: %+v", cfg)
+	if cfg.workers != 0 {
+		t.Errorf("unexpected worker pool default: %+v", cfg)
 	}
 	if !cfg.preload || cfg.drainGrace != 30*time.Second {
 		t.Errorf("unexpected lifecycle defaults: %+v", cfg)
@@ -31,8 +31,7 @@ func TestParseFlagsDefaults(t *testing.T) {
 	}
 	log := slog.New(slog.NewTextHandler(io.Discard, nil))
 	sc := cfg.serverConfig(log)
-	if sc.RequestTimeout != cfg.timeout || sc.CacheEntries != cfg.cacheEntries ||
-		sc.BatchWindow != cfg.batchWindow || sc.MaxBatch != cfg.maxBatch || sc.Workers != cfg.workers {
+	if sc.RequestTimeout != cfg.timeout || sc.CacheEntries != cfg.cacheEntries || sc.Workers != cfg.workers {
 		t.Errorf("serverConfig() lost fields: %+v", sc)
 	}
 	if sc.Logger != log {

@@ -3,9 +3,8 @@
 // The synthetic family (internal/llm) is the reference implementation; the
 // HTTP backend speaks an OpenAI-style /v1/chat/completions endpoint so the
 // same harness can evaluate real models. Capability hints tell the callers
-// which optimizations hold per backend: the sweep only asserts bit-identical
-// determinism for deterministic backends, and the serving micro-batcher only
-// coalesces requests for batchable ones.
+// which guarantees hold per backend: the sweep only asserts bit-identical
+// determinism for deterministic backends.
 package backend
 
 import (
@@ -30,8 +29,8 @@ type Request struct {
 	// deterministic backends; wire backends ignore it.
 	Seed uint64
 	// PromptSchema is an optional pre-interned handle for SchemaKnowledge
-	// (llm.PromptSchemaOf). Batch-level callers resolve it once per
-	// (db, variant) batch; backends that don't need it ignore it.
+	// (llm.PromptSchemaOf). The sweep resolves it once per (db, question,
+	// variant) job; backends that don't need it ignore it.
 	PromptSchema *llm.PromptSchema
 }
 
@@ -52,10 +51,6 @@ type Capabilities struct {
 	// (request, seed) pairs; the sweep's determinism guarantees (parallel
 	// output == serial output) are scoped to these.
 	Deterministic bool
-	// Batchable backends benefit from the serving micro-batcher's shared
-	// prompt render; non-batchable ones are dispatched immediately as
-	// singleton batches.
-	Batchable bool
 	// SchemaLinking backends emit FilteredTables (a schema-subsetting
 	// stage precedes generation).
 	SchemaLinking bool
@@ -64,7 +59,7 @@ type Capabilities struct {
 // Backend is a model implementation the pipeline can decode through.
 // Implementations must be safe for concurrent use.
 type Backend interface {
-	// Name identifies the backend in cells, batch keys, and reports.
+	// Name identifies the backend in cells, responses, and reports.
 	Name() string
 	// Capabilities reports the hints above; they are static per backend.
 	Capabilities() Capabilities

@@ -18,7 +18,7 @@ import (
 
 // HTTPOptions configures an OpenAI-style chat-completions backend.
 type HTTPOptions struct {
-	// Name identifies the backend in cells and batch keys. Defaults to
+	// Name identifies the backend in cells and responses. Defaults to
 	// Model, else "http".
 	Name string
 	// BaseURL is the server root; the client POSTs to
@@ -84,8 +84,8 @@ func NewHTTP(opts HTTPOptions) (*HTTP, error) {
 // Name identifies the backend.
 func (h *HTTP) Name() string { return h.opts.Name }
 
-// Capabilities: a wire model is neither deterministic nor batchable (each
-// request is an independent network call), and exposes no linking stage.
+// Capabilities: a wire model is not deterministic (each request is an
+// independent network call) and exposes no linking stage.
 func (h *HTTP) Capabilities() Capabilities { return Capabilities{} }
 
 // chatMessage / chatRequest / chatResponse are the OpenAI wire types (the

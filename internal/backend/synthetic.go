@@ -8,10 +8,10 @@ import (
 )
 
 // Synthetic adapts a synthetic model (internal/llm) to the Backend
-// interface. It is the reference implementation: deterministic, batchable,
-// and — for profiles with a filtering stage — schema-linking. The adapter
-// preserves the exact InferOn call path, so a synthetic-backend sweep is
-// bit-identical to the pre-interface pipeline.
+// interface. It is the reference implementation: deterministic and — for
+// profiles with a filtering stage — schema-linking. The adapter preserves
+// the exact InferOn call path, so a synthetic-backend sweep is bit-identical
+// to the pre-interface pipeline.
 type Synthetic struct {
 	m *llm.Model
 }
@@ -29,12 +29,11 @@ func (s *Synthetic) Model() *llm.Model { return s.m }
 // Name is the synthetic profile's name (e.g. "gpt-4o").
 func (s *Synthetic) Name() string { return s.m.Profile.Name }
 
-// Capabilities: synthetic models are deterministic and batchable; filter
-// workflows additionally link.
+// Capabilities: synthetic models are deterministic; filter workflows
+// additionally link.
 func (s *Synthetic) Capabilities() Capabilities {
 	return Capabilities{
 		Deterministic: true,
-		Batchable:     true,
 		SchemaLinking: s.m.Profile.FilterKeep > 0,
 	}
 }

@@ -20,8 +20,8 @@ func TestSyntheticMatchesModel(t *testing.T) {
 			t.Fatalf("Name = %q, want %q", be.Name(), p.Name)
 		}
 		caps := be.Capabilities()
-		if !caps.Deterministic || !caps.Batchable {
-			t.Fatalf("%s: synthetic capabilities = %+v, want deterministic+batchable", p.Name, caps)
+		if !caps.Deterministic {
+			t.Fatalf("%s: synthetic capabilities = %+v, want deterministic", p.Name, caps)
 		}
 		if caps.SchemaLinking != (p.FilterKeep > 0) {
 			t.Fatalf("%s: SchemaLinking = %v, want %v", p.Name, caps.SchemaLinking, p.FilterKeep > 0)

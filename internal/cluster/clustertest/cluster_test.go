@@ -192,17 +192,17 @@ func TestKillShardUnderLoad(t *testing.T) {
 	}
 }
 
-// TestDrainFinishesInflight: draining a shard lets its in-flight micro-
-// batches finish — every request issued before the drain completes with the
+// TestDrainFinishesInflight: draining a shard lets its in-flight and queued
+// requests finish — every request issued before the drain completes with the
 // correct body — and the router routes around it afterwards.
 func TestDrainFinishesInflight(t *testing.T) {
 	stream := testStream()
-	cfg := server.Config{BatchWindow: 40 * time.Millisecond}
+	cfg := server.Config{Workers: 1}
 	solo := soloResponses(cfg, stream)
 	c := startCluster(t, Options{Shards: 2, Preload: true, ShardConfig: cfg})
 
-	// Fire a wave of requests; with the widened batch window they sit in
-	// shard queues when the drain starts.
+	// Fire a wave of requests; with one worker per shard most of them sit
+	// in shard queues when the drain starts.
 	var wg sync.WaitGroup
 	type result struct {
 		idx    int

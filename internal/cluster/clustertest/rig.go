@@ -256,8 +256,8 @@ func (c *Cluster) RestartShard(i int) error {
 }
 
 // DrainShard gracefully drains shard i: health flips to draining (the
-// router routes around it), in-flight requests and queued micro-batches
-// finish, then the listener closes. Returns once the drain completes.
+// router routes around it), in-flight and queued requests finish, then the
+// listener closes. Returns once the drain completes.
 func (c *Cluster) DrainShard(i int, grace time.Duration) error {
 	s := c.shards[i]
 	s.mu.Lock()

@@ -351,10 +351,9 @@ func runJob(cells []Cell, j job, backends []backend.Backend, variants []schema.V
 		return f
 	}
 
-	// Batch-level prompt sharing: the prompt (and its interned schema
-	// handle) depends only on the variant within a job, so render and parse
-	// once and let all six models decode against the same handle — the same
-	// sharing the serving micro-batcher does per (db, variant) batch.
+	// Job-level prompt sharing: the prompt (and its interned schema handle)
+	// depends only on the variant within a job, so render and parse once and
+	// let all six models decode against the same handle.
 	type sharedPrompt struct {
 		prompt string
 		tables []string

@@ -72,9 +72,9 @@ func (m *Model) Infer(task Task) Prediction {
 }
 
 // PromptSchemaOf parses a schema-knowledge block into the shared, memoized
-// prompt-schema handle Infer uses internally. The serving layer's
-// micro-batcher parses once per (db, variant) batch and feeds the same
-// handle to every task via InferOn.
+// prompt-schema handle Infer uses internally. The sweep parses once per
+// (db, question, variant) job and feeds the same handle to every model's
+// task via InferOn.
 func PromptSchemaOf(block string) *PromptSchema { return parsePromptCached(block) }
 
 // InferOn is Infer against a pre-parsed prompt schema (which must be the

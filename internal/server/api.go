@@ -58,10 +58,10 @@ type InferResponse struct {
 	QuestionID int    `json:"question_id"`
 	Question   string `json:"question"`
 
-	// The response body deliberately carries no batching/caching metadata:
-	// identical requests must produce byte-identical bodies whether served
-	// solo, batched, or from cache (the determinism guarantee). Batch and
-	// cache behaviour is observable via /metricsz and the X-Snails-Cache
+	// The response body deliberately carries no caching metadata: identical
+	// requests must produce byte-identical bodies whether served solo,
+	// concurrently, coalesced, or from cache (the determinism guarantee).
+	// Cache behaviour is observable via /metricsz and the X-Snails-Cache
 	// header instead.
 	SQL         string  `json:"sql"`
 	NativeSQL   string  `json:"native_sql"`

@@ -88,13 +88,12 @@ func TestInferBackendFailureIs502(t *testing.T) {
 	}
 }
 
-// TestBatcherKeysPerBackend checks batches never mix backends: concurrent
-// same-(db,variant) requests against two backends land in separate batches.
-func TestBatcherKeysPerBackend(t *testing.T) {
+// TestInferMixedBackendsConcurrent interleaves concurrent same-(db, variant)
+// requests against a wire backend and a synthetic one: each response must
+// come from the backend it named, with no cross-talk through the shared pool
+// or prompt memos.
+func TestInferMixedBackendsConcurrent(t *testing.T) {
 	s := newBackendTestServer(t, backend.MockOptions{})
-	// A long window would batch every request below together if keys
-	// collided across backends.
-	s.batcher.window = 50 * time.Millisecond
 
 	const n = 4
 	results := make(chan string, 2*n)

@@ -59,9 +59,9 @@ func findQuestion(b *datasets.Built, req *apiRequest) (nlq.Question, *apiError) 
 		"%s has no benchmark question matching %q (inference needs a gold query to evaluate against)", b.Name, text)
 }
 
-// handleInfer serves one NL-to-SQL round with full evaluation. The request
-// is queued into the (db, variant) micro-batch and the handler parks on the
-// outcome channel under the request deadline.
+// handleInfer serves one NL-to-SQL round with full evaluation. The pipeline
+// runs as one job on the worker pool and the handler parks on the outcome
+// channel under the request deadline.
 func (s *Server) handleInfer(ctx context.Context, req *apiRequest) (any, *apiError) {
 	b, apiErr := lookupDB(req.DB, true)
 	if apiErr != nil {
@@ -86,7 +86,15 @@ func (s *Server) handleInfer(ctx context.Context, req *apiRequest) (any, *apiErr
 
 	tr := trace.FromContext(ctx)
 	tr.SetRequest(b.Name, v.String(), q.ID)
-	out := s.batcher.enqueue(b, v, q, be, tr)
+	out := make(chan inferOutcome, 1) // buffered: the job never blocks on a gone waiter
+	queued := tr.Now()
+	if !s.pool.submit(func() {
+		tr.Span(trace.StageQueue, queued)
+		resp, err := s.runInfer(b, v, q, be, tr)
+		out <- inferOutcome{resp: resp, err: err}
+	}) {
+		return nil, errOverloaded
+	}
 	select {
 	case o := <-out:
 		if o.err != nil {
@@ -94,7 +102,7 @@ func (s *Server) handleInfer(ctx context.Context, req *apiRequest) (any, *apiErr
 		}
 		return o.resp, nil
 	case <-ctx.Done():
-		// The batch keeps running (its result still warms the caches); only
+		// The job keeps running (its result still warms the caches); only
 		// this waiter gives up.
 		return nil, ctxError(ctx.Err())
 	}

@@ -35,8 +35,6 @@ func MergeSnapshots(snaps []MetricsSnapshot) MetricsSnapshot {
 		out.CacheCoalesced += s.CacheCoalesced
 		out.CacheEntries += s.CacheEntries
 		out.CacheEvictions += s.CacheEvictions
-		out.Batches += s.Batches
-		out.BatchedRequests += s.BatchedRequests
 		out.Backend.RequestsOK += s.Backend.RequestsOK
 		out.Backend.RequestsError += s.Backend.RequestsError
 		out.Backend.Retries += s.Backend.Retries
@@ -50,9 +48,6 @@ func MergeSnapshots(snaps []MetricsSnapshot) MetricsSnapshot {
 	}
 	if out.CacheHits+out.CacheMisses > 0 {
 		out.CacheHitRatio = float64(out.CacheHits) / float64(out.CacheHits+out.CacheMisses)
-	}
-	if out.Batches > 0 {
-		out.MeanBatchSize = float64(out.BatchedRequests) / float64(out.Batches)
 	}
 	if weight > 0 {
 		out.LatencyP50Millis = p50Weighted / weight

@@ -18,8 +18,6 @@ func TestMergeSnapshotsSumsAndRecomputes(t *testing.T) {
 		CacheMisses:        40,
 		CacheCoalesced:     8,
 		CacheEntries:       5,
-		Batches:            10,
-		BatchedRequests:    30,
 		LatencyP50Millis:   2,
 		LatencyP99Millis:   8,
 		Stages: []trace.StageSnapshot{
@@ -34,8 +32,6 @@ func TestMergeSnapshotsSumsAndRecomputes(t *testing.T) {
 		CacheMisses:      70,
 		CacheCoalesced:   5,
 		CacheEntries:     7,
-		Batches:          10,
-		BatchedRequests:  50,
 		LatencyP50Millis: 4,
 		LatencyP99Millis: 16,
 		Stages: []trace.StageSnapshot{
@@ -65,9 +61,6 @@ func TestMergeSnapshotsSumsAndRecomputes(t *testing.T) {
 	}
 	if m.CacheCoalesced != 13 {
 		t.Errorf("cache coalesced = %d, want 13", m.CacheCoalesced)
-	}
-	if math.Abs(m.MeanBatchSize-4.0) > 1e-9 {
-		t.Errorf("mean batch size = %v, want 80/20 = 4", m.MeanBatchSize)
 	}
 	// Percentiles are request-count-weighted: p50 = (100·2 + 300·4)/400.
 	if math.Abs(m.LatencyP50Millis-3.5) > 1e-9 {
@@ -105,8 +98,6 @@ func TestMergeSnapshotsIdentity(t *testing.T) {
 		RequestsByPath:   map[string]uint64{"/v1/infer": 42},
 		CacheHits:        3,
 		CacheMisses:      1,
-		Batches:          6,
-		BatchedRequests:  9,
 		LatencyP50Millis: 1.5,
 		LatencyP99Millis: 7.25,
 	}
@@ -114,7 +105,6 @@ func TestMergeSnapshotsIdentity(t *testing.T) {
 	if m.RequestsTotal != a.RequestsTotal ||
 		m.RequestsByPath["/v1/infer"] != 42 ||
 		math.Abs(m.CacheHitRatio-0.75) > 1e-9 ||
-		math.Abs(m.MeanBatchSize-1.5) > 1e-9 ||
 		m.LatencyP50Millis != a.LatencyP50Millis ||
 		m.LatencyP99Millis != a.LatencyP99Millis {
 		t.Errorf("single-snapshot merge drifted: %+v", m)

@@ -60,15 +60,13 @@ func (r *latencyRing) percentiles(qs ...float64) []float64 {
 type metrics struct {
 	start time.Time
 
-	requests   atomic.Uint64 // all requests, including errors
-	errors     atomic.Uint64 // responses with status >= 400
-	timeouts   atomic.Uint64 // 504s
-	inflight   atomic.Int64
-	cacheHits  atomic.Uint64
-	cacheMiss  atomic.Uint64
-	coalesced  atomic.Uint64 // misses served by another request's in-flight compute
-	batches    atomic.Uint64 // flushed inference batches
-	batchedReq atomic.Uint64 // inference requests carried by those batches
+	requests  atomic.Uint64 // all requests, including errors
+	errors    atomic.Uint64 // responses with status >= 400
+	timeouts  atomic.Uint64 // 504s
+	inflight  atomic.Int64
+	cacheHits atomic.Uint64
+	cacheMiss atomic.Uint64
+	coalesced atomic.Uint64 // misses served by another request's in-flight compute
 
 	byEndpoint sync.Map // endpoint path -> *atomic.Uint64
 
@@ -77,10 +75,6 @@ type metrics struct {
 	// histogram /metrics exposes (the ring serves /metricsz's interpolated
 	// percentiles; the histogram serves scrape-time bucket series).
 	dur obs.Histogram
-	// batchWindow records the accumulation window the adaptive policy chose
-	// each time a micro-batch was created (zero for immediate flushes), so
-	// the window distribution under load is observable.
-	batchWindow obs.Histogram
 }
 
 func newMetrics() *metrics { return &metrics{start: time.Now()} }
@@ -133,9 +127,6 @@ type MetricsSnapshot struct {
 	CacheHitRatio    float64 `json:"cache_hit_ratio"`
 	CacheEntries     int     `json:"cache_entries"`
 	CacheEvictions   uint64  `json:"cache_evictions"`
-	Batches          uint64  `json:"batches"`
-	BatchedRequests  uint64  `json:"batched_requests"`
-	MeanBatchSize    float64 `json:"mean_batch_size"`
 	LatencyP50Millis float64 `json:"latency_p50_ms"`
 	LatencyP99Millis float64 `json:"latency_p99_ms"`
 
@@ -174,11 +165,6 @@ func (m *metrics) snapshot(cacheEntries int, cacheEvictions uint64) MetricsSnaps
 	if hits+misses > 0 {
 		ratio = float64(hits) / float64(hits+misses)
 	}
-	batches, batched := m.batches.Load(), m.batchedReq.Load()
-	meanBatch := 0.0
-	if batches > 0 {
-		meanBatch = float64(batched) / float64(batches)
-	}
 	ps := m.lat.percentiles(0.50, 0.99)
 	byPath := map[string]uint64{}
 	m.byEndpoint.Range(func(k, v any) bool {
@@ -199,9 +185,6 @@ func (m *metrics) snapshot(cacheEntries int, cacheEvictions uint64) MetricsSnaps
 		CacheHitRatio:      ratio,
 		CacheEntries:       cacheEntries,
 		CacheEvictions:     cacheEvictions,
-		Batches:            batches,
-		BatchedRequests:    batched,
-		MeanBatchSize:      meanBatch,
 		LatencyP50Millis:   ps[0],
 		LatencyP99Millis:   ps[1],
 		Backend:            backend.ReadStats(),

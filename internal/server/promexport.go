@@ -22,7 +22,7 @@ var scrapePaths = []string{
 }
 
 // registerMetrics builds the server's registry. Families fall into three
-// groups: counters owned by this Server (HTTP, cache, batcher, pool), reads
+// groups: counters owned by this Server (HTTP, cache, pool), reads
 // of process-wide tallies owned by other packages (sqlexec, sweep outcomes,
 // Go runtime), and histogram views over the trace collector. Everything is
 // registered once at construction; scrapes only read.
@@ -48,7 +48,7 @@ func (s *Server) registerMetrics() {
 	r.GaugeFunc("snails_http_inflight", "API requests currently being served.",
 		func() float64 { return float64(m.inflight.Load()) })
 	r.HistogramSeriesFamily("snails_http_request_duration_seconds",
-		"API request latency, including queueing and batching.",
+		"API request latency, including queueing.",
 		obs.HistogramSeries{H: &m.dur})
 	r.GaugeFunc("snails_uptime_seconds", "Seconds since the server was constructed.",
 		func() float64 { return time.Since(m.start).Seconds() })
@@ -95,32 +95,16 @@ func (s *Server) registerMetrics() {
 		"Response-cache misses served from another request's in-flight compute (a subset of response misses).",
 		func() float64 { return float64(m.coalesced.Load()) })
 
-	// --- micro-batcher ---------------------------------------------------
-	r.CounterFunc("snails_batches_total", "Inference batches flushed to the worker pool.",
-		func() float64 { return float64(m.batches.Load()) })
-	r.CounterFunc("snails_batched_requests_total", "Inference requests carried by flushed batches.",
-		func() float64 { return float64(m.batchedReq.Load()) })
-	s.coalesce = r.CounterVec("snails_batch_coalesce_total",
-		"Flushed batches by coarse size class.", "size")
-	for _, c := range coalesceClasses {
-		s.coalesce.With(c)
-	}
-	r.GaugeFunc("snails_batch_queue_depth", "Requests waiting in not-yet-flushed batches.",
-		func() float64 { return float64(s.batcher.pendingItems()) })
-	r.HistogramSeriesFamily("snails_batch_window_us",
-		"Accumulation window chosen by the adaptive flush policy per batch created (zero for immediate dispatch; le bounds are seconds).",
-		obs.HistogramSeries{H: &m.batchWindow})
-
 	// --- worker pool -----------------------------------------------------
 	r.GaugeFunc("snails_pool_workers", "Size of the inference worker pool.",
 		func() float64 { return float64(s.pool.workers) })
-	r.GaugeFunc("snails_pool_busy_workers", "Workers currently running a batch.",
+	r.GaugeFunc("snails_pool_busy_workers", "Workers currently running an inference job.",
 		func() float64 { return float64(s.pool.busy.Load()) })
-	r.GaugeFunc("snails_pool_queue_depth", "Batches queued for a free worker.",
+	r.GaugeFunc("snails_pool_queue_depth", "Inference jobs queued for a free worker.",
 		func() float64 { return float64(len(s.pool.jobs)) })
 	r.GaugeFunc("snails_pool_queue_capacity", "Bound of the worker pool queue.",
 		func() float64 { return float64(cap(s.pool.jobs)) })
-	r.CounterFunc("snails_pool_rejections_total", "Batch submissions refused because the pool was saturated or closed.",
+	r.CounterFunc("snails_pool_rejections_total", "Inference jobs refused because the pool was saturated or closed.",
 		func() float64 { return float64(s.pool.rejected.Load()) })
 
 	// --- inference evaluation --------------------------------------------

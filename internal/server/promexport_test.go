@@ -70,8 +70,8 @@ func parseScrape(t *testing.T, text string) (families map[string]bool, samples m
 }
 
 // TestMetricsExposition drives real traffic through the server and asserts
-// the scrape covers every subsystem the issue names: HTTP, cache, batcher,
-// pool, sqlexec, stages, runtime.
+// the scrape covers every subsystem: HTTP, cache, pool, sqlexec, stages,
+// runtime.
 func TestMetricsExposition(t *testing.T) {
 	s := New(Config{RequestTimeout: 30 * time.Second}) // response cache on
 	for i := 0; i < 2; i++ {
@@ -90,9 +90,8 @@ func TestMetricsExposition(t *testing.T) {
 		"snails_http_request_duration_seconds", "snails_uptime_seconds",
 		"snails_cache_hits_total", "snails_cache_misses_total", "snails_cache_entries",
 		"snails_cache_coalesced_total",
-		"snails_batches_total", "snails_batch_coalesce_total", "snails_batch_queue_depth",
-		"snails_batch_window_us",
-		"snails_pool_workers", "snails_pool_busy_workers", "snails_pool_rejections_total",
+		"snails_pool_workers", "snails_pool_busy_workers", "snails_pool_queue_depth",
+		"snails_pool_queue_capacity", "snails_pool_rejections_total",
 		"snails_infer_verdicts_total", "snails_stage_duration_seconds",
 		"snails_sqlexec_queries_total", "snails_sweep_cells_total",
 		"snails_go_goroutines", "snails_go_heap_alloc_bytes",
@@ -112,8 +111,14 @@ func TestMetricsExposition(t *testing.T) {
 	if v := samples["snails_sqlexec_queries_total"]; v < 1 {
 		t.Errorf("sqlexec queries = %v, want >= 1", v)
 	}
-	if v := samples["snails_batches_total"]; v < 1 {
-		t.Errorf("batches = %v, want >= 1", v)
+	// Only the first infer ran the pipeline on a pool worker; the second
+	// was a cache hit and records no verdict.
+	var verdicts float64
+	for _, v := range []string{"correct", "incorrect", "invalid"} {
+		verdicts += samples[`snails_infer_verdicts_total{verdict="`+v+`"}`]
+	}
+	if verdicts != 1 {
+		t.Errorf("infer verdicts = %v, want 1", verdicts)
 	}
 	if v := samples[`snails_http_request_duration_seconds_count`]; v < 3 {
 		t.Errorf("duration count = %v, want >= 3 (one per API request)", v)

@@ -6,20 +6,21 @@
 //
 // The serving pipeline is built for sustained concurrent traffic:
 //
-//   - a bounded worker pool executes inference batches, so load beyond
+//   - a bounded worker pool runs each /v1/infer pipeline, so load beyond
 //     capacity queues briefly and then sheds with 503 instead of piling up
 //     goroutines;
-//   - concurrent /v1/infer requests against the same (db, variant) are
-//     micro-batched for a few milliseconds so the schema-knowledge prompt is
-//     rendered once per batch;
+//   - concurrent identical cache misses share one pipeline run
+//     (singleflight), and schema-prompt renders and parses are memoized
+//     below the server, so requests share that work without waiting for
+//     each other;
 //   - a sharded clock-hand cache (internal/memo) memoizes whole responses
 //     keyed by (endpoint, db, variant, body digest), and gold/predicted
 //     query executions are memoized independently;
 //   - every request runs under a deadline (504 on expiry) and shutdown
-//     drains in-flight batches before the process exits.
+//     runs every queued request before the process exits.
 //
-// Everything the server computes is deterministic, so cached and batched
-// responses are byte-identical to serial, uncached ones.
+// Everything the server computes is deterministic, so cached, coalesced
+// and concurrent responses are byte-identical to serial, uncached ones.
 package server
 
 import (
@@ -61,20 +62,6 @@ type Config struct {
 	// CacheEntries bounds the response cache (default 4096 entries, evicted
 	// clock-hand); negative disables response caching.
 	CacheEntries int
-	// BatchWindow is the longest a lone /v1/infer request waits for
-	// companions before its batch flushes (default 2ms). The adaptive flush
-	// policy treats this as a ceiling: with idle workers and nothing pending
-	// a request dispatches immediately, and under contention the window
-	// scales with queue depth up to this bound.
-	BatchWindow time.Duration
-	// FixedBatchWindow disables the adaptive flush policy: every batch waits
-	// the full BatchWindow (or fills to MaxBatch), the pre-adaptive
-	// behavior. Tests that need guaranteed coalescing set it; production
-	// servers should not.
-	FixedBatchWindow bool
-	// MaxBatch flushes a batch early once it holds this many requests
-	// (default 16).
-	MaxBatch int
 	// Workers sizes the inference worker pool (default GOMAXPROCS).
 	Workers int
 	// TraceBuffer bounds the in-memory ring of finished request traces
@@ -117,12 +104,6 @@ func (c Config) withDefaults() Config {
 	if c.CacheEntries == 0 {
 		c.CacheEntries = 4096
 	}
-	if c.BatchWindow <= 0 {
-		c.BatchWindow = 2 * time.Millisecond
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 16
-	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -153,7 +134,6 @@ type Server struct {
 	// collide on family names; process-wide counters (sqlexec, sweep
 	// outcomes, runtime) are exposed through scrape-time callbacks.
 	reg      *obs.Registry
-	coalesce *obs.CounterVec // flushed batch sizes by coarse class
 	verdicts *obs.CounterVec // /v1/infer evaluation verdicts
 
 	cache *memo.Cache[cachedResponse] // nil when caching is disabled
@@ -169,8 +149,7 @@ type Server struct {
 	// nil when tracing is disabled (every hook no-ops on nil).
 	traces *trace.Collector
 
-	pool    *pool
-	batcher *batcher
+	pool *pool
 
 	// backendsMu guards the decode-backend registry: configured backends
 	// at construction, synthetic profiles lazily on first request. Reads
@@ -222,8 +201,11 @@ func New(cfg Config) *Server {
 		}
 	}
 	s.goldCache, s.predCache = newExecCaches()
-	s.pool = newPool(cfg.Workers, 4*cfg.Workers+64)
-	s.batcher = newBatcher(s, cfg.BatchWindow, cfg.MaxBatch, cfg.FixedBatchWindow)
+	// The queue holds one job per /v1/infer request, so it is sized in
+	// requests: a burst of about a thousand concurrent requests queues
+	// instead of shedding, and at sub-millisecond service times even a full
+	// queue drains well inside the request deadline.
+	s.pool = newPool(cfg.Workers, 64*cfg.Workers+1024)
 	s.registerMetrics()
 
 	s.mux.HandleFunc("/v1/infer", s.post("/v1/infer", s.handleInfer))
@@ -272,12 +254,12 @@ func (s *Server) BeginShutdown() {
 	s.drainOnce.Do(func() { close(s.draining) })
 }
 
-// Drain flushes pending micro-batches, waits for in-flight work, and stops
-// the worker pool. Call after the HTTP listener has stopped accepting
-// connections (http.Server.Shutdown) to finish a graceful exit.
+// Drain stops the worker pool after running every queued job, so work
+// accepted before shutdown still finishes. Call after the HTTP listener has
+// stopped accepting connections (http.Server.Shutdown) to finish a graceful
+// exit.
 func (s *Server) Drain() {
 	s.BeginShutdown()
-	s.batcher.drain()
 	s.pool.close()
 }
 

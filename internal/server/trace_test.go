@@ -26,23 +26,21 @@ func tracesOf(t *testing.T, s *Server, query string) TracesResponse {
 	return resp
 }
 
-// Trace spans must survive micro-batch coalescing with per-request
-// attribution: when many handlers' requests are folded into one batch, each
-// finished trace still carries its own question id, a queue span, and the
-// decode span recorded deep in the shared worker. Run under -race this also
-// exercises the slab's atomic publication against concurrent /debugz/traces
-// readers.
-func TestTraceSpansSurviveBatchCoalescing(t *testing.T) {
+// Trace spans keep per-request attribution under concurrency: when many
+// handlers' requests run at once on the shared worker pool, each finished
+// trace still carries its own question id, a queue span, and the prompt and
+// decode spans recorded on the worker. Run under -race this also exercises
+// the slab's atomic publication against concurrent /debugz/traces readers.
+func TestTraceSpansConcurrentAttribution(t *testing.T) {
 	const n = 12
 	s := New(Config{
-		CacheEntries:     -1,
-		RequestTimeout:   60 * time.Second,
-		BatchWindow:      25 * time.Millisecond,
-		FixedBatchWindow: true, // the test asserts coalescing, so no adaptive immediate flush
-		MaxBatch:         n,
+		CacheEntries:   -1,
+		RequestTimeout: 60 * time.Second,
+		Workers:        2, // fewer workers than requests, so some wait in the queue
 	})
 
-	// All requests share (db, variant) so they coalesce into few batches.
+	// All requests share (db, variant), so they contend for the same prompt
+	// and parse memos.
 	var wg sync.WaitGroup
 	for i := 1; i <= n; i++ {
 		wg.Add(1)
@@ -55,7 +53,7 @@ func TestTraceSpansSurviveBatchCoalescing(t *testing.T) {
 			}
 		}(i)
 	}
-	// Concurrent readers while the batch runs (the -race payoff).
+	// Concurrent readers while the requests run (the -race payoff).
 	stop := make(chan struct{})
 	var readers sync.WaitGroup
 	readers.Add(1)
@@ -106,16 +104,12 @@ func TestTraceSpansSurviveBatchCoalescing(t *testing.T) {
 		}
 	}
 
-	// The requests must actually have coalesced, or this test proves nothing.
+	// The stage histograms surfaced in /metricsz cover every request.
 	rec := do(s, http.MethodGet, "/metricsz", "", nil)
 	var snap MetricsSnapshot
 	if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
 		t.Fatalf("decode metricsz: %v", err)
 	}
-	if snap.Batches >= snap.BatchedRequests {
-		t.Errorf("expected coalescing: %d batches for %d requests", snap.Batches, snap.BatchedRequests)
-	}
-	// The batched stage histograms surfaced in /metricsz cover every request.
 	var sawDecode bool
 	for _, sg := range snap.Stages {
 		if sg.Stage == "llm_decode" && sg.Count == n {

@@ -3,7 +3,7 @@ package sqlexec
 import "sync/atomic"
 
 // Package-level execution counters. sqlexec sits below every caller (sweep
-// workers, the serving batcher, CLI one-offs), so a process-wide tally is the
+// workers, serving requests, CLI one-offs), so a process-wide tally is the
 // natural grain; the metrics registry reads these through Stats() at scrape
 // time rather than importing a metrics package here.
 var (

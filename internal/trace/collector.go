@@ -102,8 +102,8 @@ func (c *Collector) StartRemote(endpoint string, traceID uint64) *Trace {
 
 // Finish seals a trace: records its total latency, folds the published spans
 // into the per-stage histograms, and appends it to the ring. Spans published
-// by straggler goroutines after Finish (a batch that outlives an abandoned
-// waiter) still appear in /debugz/traces but are not folded into histograms.
+// by straggler goroutines after Finish (a pool job that outlives an
+// abandoned waiter) still appear in /debugz/traces but are not folded into histograms.
 func (c *Collector) Finish(t *Trace) {
 	if c == nil || t == nil {
 		return

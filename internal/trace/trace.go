@@ -19,13 +19,13 @@ import (
 )
 
 // Stage identifies one timed pipeline stage. The set mirrors the serving
-// pipeline: batch-queue wait, schema-prompt rendering, synthetic-LLM decode,
+// pipeline: worker-pool wait, schema-prompt rendering, synthetic-LLM decode,
 // SQL parse + denaturalization, query execution, and execution-match
 // comparison.
 type Stage uint8
 
 const (
-	StageQueue  Stage = iota // batch-wait between enqueue and worker pickup
+	StageQueue  Stage = iota // worker-pool wait between submit and pickup
 	StagePrompt              // schema-knowledge prompt rendering
 	StageDecode              // model inference (synthetic LLM decode)
 	StageParse               // prediction parse + denaturalization
@@ -106,7 +106,7 @@ func SpansDropped() uint64 { return droppedSpans.Load() }
 // Trace is the timing record of one request (or one sweep cell). The
 // addressing fields (Endpoint, DB, Variant, QuestionID) are written by the
 // owning handler before any concurrent span recording starts; spans may be
-// appended from other goroutines (batch workers) via the atomic slab.
+// appended from other goroutines (pool workers) via the atomic slab.
 type Trace struct {
 	ID uint64 // per-process sequence number (stable ordering key)
 	// TraceID is the globally-unique wire identity. It is propagated across
@@ -154,9 +154,8 @@ func (t *Trace) SpanTag(s Stage, start time.Time, tag string) {
 	t.record(s, start, time.Since(start), tag)
 }
 
-// SpanDur records a stage with an explicit duration. It exists for timings
-// attributed to several traces at once — a micro-batch's shared prompt
-// render is measured once and recorded on every member's trace.
+// SpanDur records a stage with an explicit duration, for timings measured
+// apart from the span's start (one measurement recorded on several traces).
 func (t *Trace) SpanDur(s Stage, start time.Time, d time.Duration) {
 	if t == nil || start.IsZero() {
 		return

@@ -99,18 +99,13 @@ func Seed(model, db string, questionID int, v schema.Variant) uint64 {
 
 // PromptFor renders the schema-knowledge prompt for one cell and returns it
 // with the native tables it covers. Cells of a single-module database share
-// one prompt per variant (tables == nil), which is what lets the serving
-// layer's micro-batcher render the prompt once for a whole batch.
+// one prompt per variant (tables == nil); built databases memoize the render
+// per option set, so repeated calls for the same prompt are cheap.
 func PromptFor(b *datasets.Built, q nlq.Question, v schema.Variant) (prompt string, tables []string) {
 	tables = promptTables(b, q)
 	opts := schema.PromptOptions{Variant: v, Tables: tables, IncludeTypes: true}
 	return b.Schema.SchemaKnowledge(opts), tables
 }
-
-// SharedPrompt reports whether every question of the database sees the same
-// prompt at a given variant (true for single-module databases; SBOD scopes
-// prompts to the gold tables' modules, so its prompts are per-question).
-func SharedPrompt(b *datasets.Built) bool { return len(b.Modules) <= 1 }
 
 // Run executes the full pipeline for one cell.
 func Run(in RunInput) RunOutput {
@@ -126,34 +121,17 @@ func RunCtx(ctx context.Context, in RunInput) RunOutput {
 	t0 := tr.Now()
 	prompt, tables := PromptFor(in.B, in.Q, in.Variant)
 	tr.Span(trace.StagePrompt, t0)
-	return runWithPrompt(ctx, in, prompt, tables)
+	return runWithSchema(ctx, in, prompt, tables, nil)
 }
 
-// RunWithPrompt executes the pipeline for one cell against a pre-rendered
-// schema prompt (which must be PromptFor's output for the same cell, or the
-// shared per-variant prompt of a single-module database).
-func RunWithPrompt(in RunInput, prompt string, tables []string) RunOutput {
-	return runWithPrompt(context.Background(), in, prompt, tables)
-}
-
-// RunWithPromptCtx is RunWithPrompt with trace propagation. The prompt span
-// is the caller's responsibility (a micro-batch records its shared render on
-// every member trace); decode and parse are recorded here.
-func RunWithPromptCtx(ctx context.Context, in RunInput, prompt string, tables []string) RunOutput {
-	return runWithPrompt(ctx, in, prompt, tables)
-}
-
-// RunWithSchemaCtx is RunWithPromptCtx with a pre-parsed prompt-schema
-// handle (which must be llm.PromptSchemaOf(prompt)). Batch-level callers —
-// the sweep's per-question jobs and the serving micro-batcher — resolve the
-// handle once per (db, variant) batch so member cells skip the per-cell
-// prompt-text hash entirely.
+// RunWithSchemaCtx executes the pipeline for one cell against a pre-rendered
+// prompt (PromptFor's output for the cell) and its pre-parsed prompt-schema
+// handle (llm.PromptSchemaOf(prompt)). The sweep resolves both once per
+// (db, question, variant) job so the six model cells skip the per-cell
+// prompt-text hash. The prompt span is the caller's; decode and parse are
+// recorded here.
 func RunWithSchemaCtx(ctx context.Context, in RunInput, prompt string, tables []string, ps *llm.PromptSchema) RunOutput {
 	return runWithSchema(ctx, in, prompt, tables, ps)
-}
-
-func runWithPrompt(ctx context.Context, in RunInput, prompt string, tables []string) RunOutput {
-	return runWithSchema(ctx, in, prompt, tables, nil)
 }
 
 func runWithSchema(ctx context.Context, in RunInput, prompt string, tables []string, ps *llm.PromptSchema) RunOutput {

@@ -4,12 +4,17 @@
 # The -race pass covers the packages the parallel sweep engine and the
 # serving layer touch: the worker pool and memoized caches in experiments,
 # the shared linking memos in llm, the per-cell pipeline in workflow, the
-# clock-hand cache in memo, the batching HTTP server, the cluster
+# clock-hand cache in memo, the pooled HTTP server, the cluster
 # router plus its fault-injection harness (kill/restart/drain under load),
 # and the model backends (retrying HTTP client against the mock server).
 # It runs with -short so the determinism test uses a database subset
 # (goroutine interleaving is what the race detector needs, not the full
 # grid).
+#
+# perfbench/ is a nested Go module (the benchmark, built against this
+# module's internal packages through a replace directive), so the root
+# `go test ./...` does not reach it; it is vetted and tested on its own so an
+# API change here cannot break the benchmark unnoticed.
 #
 # The cluster smoke exercises the real binary topology: a router spawning
 # two shard processes, load through the router while one shard takes
@@ -31,6 +36,9 @@ go vet ./...
 
 echo "== go test"
 go test ./...
+
+echo "== perfbench module (go vet + go test)"
+(cd perfbench && go vet ./... && go test ./...)
 
 echo "== go test -race (concurrency-touched packages)"
 go test -race -short ./internal/experiments/ ./internal/llm/ ./internal/token/ ./internal/workflow/ ./internal/memo/ ./internal/obs/ ./internal/server/ ./internal/trace/ ./internal/sqlexec/ ./internal/sqldb/ ./internal/cluster/ ./internal/cluster/clustertest/ ./internal/backend/ ./internal/config/
