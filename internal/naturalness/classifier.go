@@ -156,10 +156,10 @@ func TrainSoftmax(name string, examples []Labeled, tagging bool, cfg TrainConfig
 		c.weights[i] = make([]float64, FeatureDim+1)
 	}
 	// Pre-featurize once.
-	X := make([][]float64, len(examples))
+	X := make([][]feature, len(examples))
 	y := make([]Level, len(examples))
 	for i, ex := range examples {
-		X[i] = c.feats.Features(ex.Identifier)
+		X[i] = c.features(ex.Identifier)
 		y[i] = ex.Level
 	}
 	order := make([]int, len(examples))
@@ -178,10 +178,8 @@ func TrainSoftmax(name string, examples []Labeled, tagging bool, cfg TrainConfig
 					grad -= 1
 				}
 				w := c.weights[cls]
-				for j, x := range X[i] {
-					if x != 0 {
-						w[j] -= lr * (grad*x + cfg.L2*w[j])
-					}
+				for _, f := range X[i] {
+					w[f.j] -= lr * (grad*f.x + cfg.L2*w[f.j])
 				}
 				w[FeatureDim] -= lr * grad // bias
 			}
@@ -190,15 +188,40 @@ func TrainSoftmax(name string, examples []Labeled, tagging bool, cfg TrainConfig
 	return c
 }
 
-func (c *SoftmaxClassifier) probs(x []float64) [3]float64 {
+// feature is one nonzero entry of a feature vector.
+type feature struct {
+	j int
+	x float64
+}
+
+// features returns the identifier's nonzero features in increasing index
+// order. A Collection 2 identifier has about 40 of the FeatureDim entries
+// set, so training and scoring touch only those; visiting them in index
+// order keeps every floating-point sum in the order a dense pass would use.
+func (c *SoftmaxClassifier) features(identifier string) []feature {
+	dense := c.feats.Features(identifier)
+	n := 0
+	for _, x := range dense {
+		if x != 0 {
+			n++
+		}
+	}
+	fs := make([]feature, 0, n)
+	for j, x := range dense {
+		if x != 0 {
+			fs = append(fs, feature{j, x})
+		}
+	}
+	return fs
+}
+
+func (c *SoftmaxClassifier) probs(x []feature) [3]float64 {
 	var z [3]float64
 	for cls := range c.weights {
 		w := c.weights[cls]
 		s := w[FeatureDim]
-		for j, v := range x {
-			if v != 0 {
-				s += w[j] * v
-			}
+		for _, f := range x {
+			s += w[f.j] * f.x
 		}
 		z[cls] = s
 	}
@@ -218,7 +241,7 @@ func (c *SoftmaxClassifier) Name() string { return c.name }
 
 // Classify returns the argmax class for the identifier.
 func (c *SoftmaxClassifier) Classify(identifier string) Level {
-	p := c.probs(c.feats.Features(identifier))
+	p := c.probs(c.features(identifier))
 	best, bestP := Regular, p[0]
 	for _, l := range []Level{Low, Least} {
 		if p[l] > bestP {
@@ -231,7 +254,7 @@ func (c *SoftmaxClassifier) Classify(identifier string) Level {
 // Probabilities returns the class probability distribution, useful for
 // weak-supervision curation (Collection 2 generation).
 func (c *SoftmaxClassifier) Probabilities(identifier string) map[Level]float64 {
-	p := c.probs(c.feats.Features(identifier))
+	p := c.probs(c.features(identifier))
 	return map[Level]float64{Regular: p[0], Low: p[1], Least: p[2]}
 }
 

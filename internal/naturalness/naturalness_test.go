@@ -2,6 +2,8 @@ package naturalness
 
 import (
 	"bytes"
+	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -120,6 +122,139 @@ func TestSoftmaxDeterministic(t *testing.T) {
 	for _, ex := range sample {
 		if a.Classify(ex.Identifier) != b.Classify(ex.Identifier) {
 			t.Fatalf("training is not deterministic for %q", ex.Identifier)
+		}
+	}
+}
+
+// trainSoftmaxDense is the dense reference trainer: the SGD loop over full
+// FeatureDim vectors that TrainSoftmax replaced with its sparse form. It is
+// kept only as a differential oracle; both must produce bit-identical weights.
+func trainSoftmaxDense(name string, examples []Labeled, tagging bool, cfg TrainConfig) *SoftmaxClassifier {
+	c := &SoftmaxClassifier{
+		name:  name,
+		feats: &Featurizer{Tagging: tagging},
+	}
+	for i := range c.weights {
+		c.weights[i] = make([]float64, FeatureDim+1)
+	}
+	X := make([][]float64, len(examples))
+	y := make([]Level, len(examples))
+	for i, ex := range examples {
+		X[i] = c.feats.Features(ex.Identifier)
+		y[i] = ex.Level
+	}
+	order := make([]int, len(examples))
+	for i := range order {
+		order[i] = i
+	}
+	rng := splitMix64(cfg.Seed)
+	for epoch := 0; epoch < cfg.Epochs; epoch++ {
+		shuffle(order, &rng)
+		lr := cfg.LearningRate / (1 + 0.3*float64(epoch))
+		for _, i := range order {
+			p := probsDense(c, X[i])
+			for cls := range c.weights {
+				grad := p[cls]
+				if Level(cls) == y[i] {
+					grad -= 1
+				}
+				w := c.weights[cls]
+				for j, x := range X[i] {
+					if x != 0 {
+						w[j] -= lr * (grad*x + cfg.L2*w[j])
+					}
+				}
+				w[FeatureDim] -= lr * grad // bias
+			}
+		}
+	}
+	return c
+}
+
+// probsDense is the dense reference for SoftmaxClassifier.probs.
+func probsDense(c *SoftmaxClassifier, x []float64) [3]float64 {
+	var z [3]float64
+	for cls := range c.weights {
+		w := c.weights[cls]
+		s := w[FeatureDim]
+		for j, v := range x {
+			if v != 0 {
+				s += w[j] * v
+			}
+		}
+		z[cls] = s
+	}
+	maxZ := math.Max(z[0], math.Max(z[1], z[2]))
+	var sum float64
+	for i := range z {
+		z[i] = math.Exp(z[i] - maxZ)
+		sum += z[i]
+	}
+	for i := range z {
+		z[i] /= sum
+	}
+	return z
+}
+
+// TestSoftmaxMatchesDenseOracle pins the sparse trainer to the dense one bit
+// for bit: a reordered sum anywhere in training or scoring shows up here.
+func TestSoftmaxMatchesDenseOracle(t *testing.T) {
+	for _, tagging := range []bool{false, true} {
+		for _, epochs := range []int{1, DefaultTrainConfig().Epochs} {
+			cfg := DefaultTrainConfig()
+			cfg.Epochs = epochs
+			got := TrainSoftmax("sparse", sample, tagging, cfg)
+			want := trainSoftmaxDense("dense", sample, tagging, cfg)
+			for cls := range want.weights {
+				for j, w := range want.weights[cls] {
+					if g := got.weights[cls][j]; math.Float64bits(g) != math.Float64bits(w) {
+						t.Fatalf("tagging=%v epochs=%d: weight[%d][%d] = %v, dense oracle %v",
+							tagging, epochs, cls, j, g, w)
+					}
+				}
+			}
+			for _, ex := range sample {
+				p := got.Probabilities(ex.Identifier)
+				q := probsDense(want, want.feats.Features(ex.Identifier))
+				for _, l := range Levels {
+					if math.Float64bits(p[l]) != math.Float64bits(q[l]) {
+						t.Fatalf("tagging=%v epochs=%d: P(%v | %q) = %v, dense oracle %v",
+							tagging, epochs, l, ex.Identifier, p[l], q[l])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSoftmaxConcurrentClassify mirrors /v1/classify, where every handler
+// reads one shared trained classifier: concurrent scoring must match a serial
+// pass (and, under -race, touch no shared mutable state).
+func TestSoftmaxConcurrentClassify(t *testing.T) {
+	c := TrainSoftmax("shared", sample, true, DefaultTrainConfig())
+	want := make([]Level, len(sample))
+	for i, ex := range sample {
+		want[i] = c.Classify(ex.Identifier)
+	}
+	const workers = 8
+	got := make([][]Level, workers)
+	var wg sync.WaitGroup
+	for g := range got {
+		got[g] = make([]Level, len(sample))
+		wg.Add(1)
+		go func(out []Level) {
+			defer wg.Done()
+			for i, ex := range sample {
+				out[i] = c.Classify(ex.Identifier)
+			}
+		}(got[g])
+	}
+	wg.Wait()
+	for g := range got {
+		for i, ex := range sample {
+			if got[g][i] != want[i] {
+				t.Errorf("goroutine %d: Classify(%q) = %v, serial %v", g, ex.Identifier, got[g][i], want[i])
+			}
 		}
 	}
 }

@@ -128,7 +128,7 @@ func (s *Server) handleClassify(ctx context.Context, req *apiRequest) (any, *api
 			"provide \"identifier\", \"identifiers\", or \"db\"")
 	}
 
-	clf := s.trainedClassifier()
+	clf := experiments.TrainedClassifier()
 	resp := ClassifyResponse{DB: req.DB, Results: make([]ClassifiedIdentifier, 0, len(ids))}
 	levels := make([]naturalness.Level, 0, len(ids))
 	for _, id := range ids {

@@ -45,7 +45,6 @@ import (
 	"github.com/snails-bench/snails/internal/datasets"
 	"github.com/snails-bench/snails/internal/experiments"
 	"github.com/snails-bench/snails/internal/memo"
-	"github.com/snails-bench/snails/internal/naturalness"
 	"github.com/snails-bench/snails/internal/obs"
 	"github.com/snails-bench/snails/internal/sqldb"
 	"github.com/snails-bench/snails/internal/trace"
@@ -161,15 +160,12 @@ type Server struct {
 	// canonSeq numbers completed requests for canonical-log sampling.
 	canonSeq atomic.Uint64
 
-	clfOnce    sync.Once
-	classifier *naturalness.SoftmaxClassifier
-
 	draining  chan struct{} // closed when shutdown begins
 	drainOnce sync.Once
 }
 
-// New constructs a Server. Databases are built lazily on first touch (or
-// eagerly via Preload); the classifier trains on first /v1/classify.
+// New constructs a Server. Databases and the classifier are built lazily on
+// first touch, or eagerly via Preload.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
@@ -235,7 +231,7 @@ func (s *Server) Preload() {
 	for _, b := range datasets.All() {
 		experiments.Questions(b.Name)
 	}
-	s.trainedClassifier()
+	experiments.TrainedClassifier()
 	for _, name := range experiments.ModelNames() {
 		s.backendFor(name)
 	}
@@ -605,11 +601,4 @@ func (s *Server) writeError(w http.ResponseWriter, e *apiError) {
 		Error *apiError `json:"error"`
 	}{e})
 	s.writeJSON(w, e.Status, body)
-}
-
-// trainedClassifier lazily trains (once) the paper's production softmax
-// classifier for /v1/classify.
-func (s *Server) trainedClassifier() *naturalness.SoftmaxClassifier {
-	s.clfOnce.Do(func() { s.classifier = experiments.TrainedClassifier() })
-	return s.classifier
 }

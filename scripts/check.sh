@@ -3,6 +3,7 @@
 #
 # The -race pass covers the packages the parallel sweep engine and the
 # serving layer touch: the worker pool and memoized caches in experiments,
+# the trained classifier every /v1/classify handler shares in naturalness,
 # the shared linking memos in llm, the per-cell pipeline in workflow, the
 # clock-hand cache in memo, the pooled HTTP server, the cluster
 # router plus its fault-injection harness (kill/restart/drain under load),
@@ -41,7 +42,7 @@ echo "== perfbench module (go vet + go test)"
 (cd perfbench && go vet ./... && go test ./...)
 
 echo "== go test -race (concurrency-touched packages)"
-go test -race -short ./internal/experiments/ ./internal/llm/ ./internal/token/ ./internal/workflow/ ./internal/memo/ ./internal/obs/ ./internal/server/ ./internal/trace/ ./internal/sqlexec/ ./internal/sqldb/ ./internal/cluster/ ./internal/cluster/clustertest/ ./internal/backend/ ./internal/config/
+go test -race -short ./internal/experiments/ ./internal/naturalness/ ./internal/llm/ ./internal/token/ ./internal/workflow/ ./internal/memo/ ./internal/obs/ ./internal/server/ ./internal/trace/ ./internal/sqlexec/ ./internal/sqldb/ ./internal/cluster/ ./internal/cluster/clustertest/ ./internal/backend/ ./internal/config/
 
 echo "== go fuzz smoke (10s per target)"
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/sqlparse/
