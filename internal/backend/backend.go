@@ -29,7 +29,7 @@ type Request struct {
 	// deterministic backends; wire backends ignore it.
 	Seed uint64
 	// PromptSchema is an optional pre-interned handle for SchemaKnowledge
-	// (llm.PromptSchemaOf). The sweep resolves it once per (db, question,
+	// (llm.PromptSchemaOf). The cell evaluator resolves it once per (db, question,
 	// variant) job; backends that don't need it ignore it.
 	PromptSchema *llm.PromptSchema
 }

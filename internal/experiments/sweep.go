@@ -18,16 +18,12 @@ import (
 	"github.com/snails-bench/snails/internal/datasets"
 	"github.com/snails-bench/snails/internal/evalx"
 	"github.com/snails-bench/snails/internal/llm"
-	"github.com/snails-bench/snails/internal/memo"
 	"github.com/snails-bench/snails/internal/naturalness"
 	"github.com/snails-bench/snails/internal/nlq"
 	"github.com/snails-bench/snails/internal/schema"
-	"github.com/snails-bench/snails/internal/sqldb"
-	"github.com/snails-bench/snails/internal/sqlexec"
 	"github.com/snails-bench/snails/internal/sqlparse"
 	"github.com/snails-bench/snails/internal/token"
 	"github.com/snails-bench/snails/internal/trace"
-	"github.com/snails-bench/snails/internal/workflow"
 )
 
 // Cell is one observation of the benchmark grid.
@@ -144,49 +140,11 @@ var (
 	questionsOnce sync.Once
 	questionsByDB map[string][]nlq.Question
 
-	// goldCache memoizes gold query results across the whole process: the
-	// same gold runs for every (model, variant) pair and for overlapping
-	// experiment sweeps.
-	goldCache = memo.New[*sqldb.Result]()
-
-	// predCache memoizes predicted-query parse/analyze/execute outcomes per
-	// (database, native SQL). Different models and variants frequently emit
-	// the same SQL for a question — most cells on natural schemas produce
-	// the correct query verbatim — so the grid re-executes each distinct
-	// query once instead of once per cell. Cached results and identifier
-	// sets are shared read-only across cells.
-	predCache = memo.NewBounded[*predExec](1 << 16)
+	// sweepEval is the sweeps' cell evaluator. Its memos live for the whole
+	// process: the same gold runs for every (model, variant) pair and for
+	// overlapping sweeps, and the predicted-query memo is bounded.
+	sweepEval = NewEvaluator(0, 1<<16)
 )
-
-// predExec is the memoized outcome of handling one predicted SQL string
-// against one database. Fields mirror the stage gates of runCell: parse,
-// identifier analysis, then execution.
-type predExec struct {
-	parseOK bool
-	ids     sqlparse.IdentifierSet
-	execOK  bool
-	res     *sqldb.Result
-}
-
-// predExecution parses, analyzes, and executes a predicted query, memoized.
-// The execution span is recorded only on first compute; cache hits do no SQL
-// work and leave no trace (matching the serving daemon's convention).
-func predExecution(ctx context.Context, b *datasets.Built, sql string) *predExec {
-	return predCache.GetOrCompute(b.Name+"\x00"+sql, func() *predExec {
-		pe := &predExec{}
-		sel, err := sqlparse.Parse(sql)
-		if err != nil {
-			return pe
-		}
-		pe.parseOK = true
-		pe.ids = sqlparse.Analyze(sel).All()
-		if res, execErr := sqlexec.ExecuteCtx(ctx, b.Instance, sel); execErr == nil {
-			pe.execOK = true
-			pe.res = res
-		}
-		return pe
-	})
-}
 
 // Questions returns the cached Artifact 6 question set for a database.
 func Questions(db string) []nlq.Question {
@@ -197,21 +155,6 @@ func Questions(db string) []nlq.Question {
 		}
 	})
 	return questionsByDB[db]
-}
-
-func goldKey(db string, qid int) string { return fmt.Sprintf("%s#%d", db, qid) }
-
-// goldResult executes (once) and caches a gold query's result. Concurrent
-// callers may race to execute the same gold; both executions produce the
-// identical deterministic result, so either may be cached.
-func goldResult(b *datasets.Built, q nlq.Question) *sqldb.Result {
-	return goldCache.GetOrCompute(goldKey(b.Name, q.ID), func() *sqldb.Result {
-		res, err := sqlexec.ExecuteSQL(b.Instance, q.Gold)
-		if err != nil {
-			panic(fmt.Sprintf("experiments: gold query failed (%s q%d): %v", b.Name, q.ID, err))
-		}
-		return res
-	})
 }
 
 // Run returns the full cached sweep over the SNAILS collection.
@@ -326,12 +269,10 @@ func RunSweep(dbs []*datasets.Built, opts Options) *Sweep {
 // stride. Cells in distinct jobs never alias, so no locking is needed.
 func runJob(cells []Cell, j job, backends []backend.Backend, variants []schema.Variant, coll *trace.Collector) {
 	b, q := j.b, j.q
-	goldSel, err := sqlparse.Parse(q.Gold)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: unparseable gold (%s q%d): %v", b.Name, q.ID, err))
+	in := sweepEval.question(context.Background(), b, q)
+	if in.err != nil {
+		panic(fmt.Sprintf("experiments: gold query failed (%s q%d): %v", b.Name, q.ID, in.err))
 	}
-	goldIDs := sqlparse.Analyze(goldSel).All()
-	gold := goldResult(b, q)
 
 	// Naturalness features depend only on (variant, tokenizer family), not
 	// the model itself: compute each combination once per question instead
@@ -346,29 +287,20 @@ func runJob(cells []Cell, j job, backends []backend.Backend, variants []schema.V
 		if f, ok := feats[k]; ok {
 			return f
 		}
-		f := naturalnessFeatures(b, goldIDs, family, v)
+		f := naturalnessFeatures(b, in.goldIDs, family, v)
 		feats[k] = f
 		return f
 	}
 
-	// Job-level prompt sharing: the prompt (and its interned schema handle)
-	// depends only on the variant within a job, so render and parse once and
-	// let all six models decode against the same handle.
-	type sharedPrompt struct {
-		prompt string
-		tables []string
-		ps     *llm.PromptSchema
-	}
-	prompts := make([]sharedPrompt, len(variants))
+	// The prompt (and its interned schema handle) depends only on the
+	// variant within a job: resolve it once and let all six models decode
+	// against the same handle.
+	prompts := make([]*cellPrompt, len(variants))
 	for vi, v := range variants {
 		tr := coll.Start("sweep")
 		tr.SetRequest(b.Name, v.String(), q.ID)
-		t0 := tr.Now()
-		prompt, tables := workflow.PromptFor(b, q, v)
-		ps := llm.PromptSchemaOf(prompt)
-		tr.Span(trace.StagePrompt, t0)
+		prompts[vi] = in.prompt(trace.NewContext(context.Background(), tr), b, q, v)
 		coll.Finish(tr)
-		prompts[vi] = sharedPrompt{prompt: prompt, tables: tables, ps: ps}
 	}
 
 	idx := j.base
@@ -377,9 +309,17 @@ func runJob(cells []Cell, j job, backends []backend.Backend, variants []schema.V
 		for vi, v := range variants {
 			tr := coll.Start("sweep")
 			tr.SetRequest(b.Name, v.String(), q.ID)
-			sp := &prompts[vi]
-			cell := runCell(trace.NewContext(context.Background(), tr), b, q, goldIDs, gold, be, v, sp.prompt, sp.tables, sp.ps)
+			ctx := trace.NewContext(context.Background(), tr)
+			cell, _ := sweepEval.runCell(ctx, b, q, in, be, v, prompts[vi])
 			coll.Finish(tr)
+			if outcome := countOutcome(&cell); outcome != outcomeMatch {
+				slog.DebugContext(ctx, "sweep cell missed",
+					slog.String("model", be.Name()),
+					slog.String("db", b.Name),
+					slog.String("variant", v.String()),
+					slog.Int("question_id", q.ID),
+					slog.String("outcome", Outcomes[outcome]))
+			}
 			f := featsOf(v, family)
 			cell.Combined = f.combined
 			cell.RegFrac, cell.LowFrac, cell.LeastFrac = f.regFrac, f.lowFrac, f.leastFrac
@@ -397,62 +337,6 @@ func questionsOf(b *datasets.Built) []nlq.Question {
 		return qs
 	}
 	return nlq.Generate(b)
-}
-
-func runCell(ctx context.Context, b *datasets.Built, q nlq.Question, goldIDs sqlparse.IdentifierSet,
-	gold *sqldb.Result, be backend.Backend, v schema.Variant, prompt string, tables []string, ps *llm.PromptSchema) Cell {
-
-	out := workflow.RunWithSchemaCtx(ctx, workflow.RunInput{B: b, Q: q, Variant: v, Backend: be}, prompt, tables, ps)
-	cell := Cell{
-		Model:      be.Name(),
-		Backend:    be.Name(),
-		DB:         b.Name,
-		Variant:    v,
-		QuestionID: q.ID,
-		GoldIDs:    goldIDs,
-		ParseOK:    out.ParseOK,
-	}
-
-	if out.ParseOK {
-		pe := predExecution(ctx, b, out.NativeSQL)
-		if pe.parseOK {
-			cell.PredIDs = pe.ids
-			cell.Link = evalx.QueryLinking(goldIDs, cell.PredIDs)
-			if pe.execOK {
-				tr := trace.FromContext(ctx)
-				t0 := tr.Now()
-				outcome := evalx.CompareResults(gold, pe.res)
-				if outcome == evalx.MatchYes && q.Ordered {
-					outcome = evalx.OrderedCompare(gold, pe.res)
-				}
-				tr.Span(trace.StageMatch, t0)
-				cell.ExecCorrect = outcome == evalx.MatchYes
-			}
-		}
-	}
-
-	if outcome := countOutcome(&cell); outcome != outcomeMatch {
-		slog.DebugContext(ctx, "sweep cell missed",
-			slog.String("model", be.Name()),
-			slog.String("db", b.Name),
-			slog.String("variant", v.String()),
-			slog.Int("question_id", q.ID),
-			slog.String("outcome", Outcomes[outcome]))
-	}
-
-	if out.FilteredNative != nil {
-		goldTables := sqlparse.IdentifierSet{}
-		for _, t := range q.Tables {
-			goldTables.Add(t)
-		}
-		selected := sqlparse.IdentifierSet{}
-		for _, t := range out.FilteredNative {
-			selected.Add(t)
-		}
-		ss := evalx.SchemaSubsetting(goldTables, selected)
-		cell.Subset = &ss
-	}
-	return cell
 }
 
 // natFeatures are the query-level naturalness measures the correlation

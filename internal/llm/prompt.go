@@ -93,10 +93,12 @@ func ParsePrompt(block string) *PromptSchema {
 	return ps
 }
 
-// promptMemo caches parsed schema-knowledge blocks. The sweep renders only
-// (database, variant, subset) distinct prompts but parses one per grid cell;
-// caching collapses ~12k parses into a few hundred. Cached PromptSchemas are
-// shared across models and goroutines and must be treated as immutable.
+// promptMemo caches parsed schema-knowledge blocks. The cell evaluator
+// (experiments.Evaluator) asks for one per (database, question, variant) —
+// 2,012 on the paper grid, per evaluator — but the grid has only 100
+// distinct (database, variant, subset) prompts, so most lookups hit.
+// Cached PromptSchemas are shared across models and goroutines and must be
+// treated as immutable.
 var promptMemo = memo.NewBounded[*PromptSchema](1 << 12)
 
 // parsePromptCached is ParsePrompt behind a global memo keyed on the raw

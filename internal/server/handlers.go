@@ -238,12 +238,12 @@ func (s *Server) handleLink(ctx context.Context, req *apiRequest) (any, *apiErro
 	link := evalx.QueryLinkingSQL(req.GoldSQL, req.PredSQL)
 	resp := LinkResponse{Valid: link.Valid, Recall: link.Recall, Precision: link.Precision, F1: link.F1}
 	if b != nil && link.Valid {
-		gold, err := s.goldSQLResult(ctx, b, req.GoldSQL)
+		gold, err := s.eval.Execute(ctx, b, req.GoldSQL)
 		if err != nil {
 			return nil, errorf(http.StatusBadRequest, "gold_failed", "gold query failed on %s: %v", b.Name, err)
 		}
 		correct := false
-		if pred := s.predResult(ctx, b, req.PredSQL); pred != nil {
+		if pred, err := s.eval.Execute(ctx, b, req.PredSQL); err == nil {
 			tr := trace.FromContext(ctx)
 			t0 := tr.Now()
 			correct = evalx.CompareResults(gold, pred) == evalx.MatchYes

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"fmt"
 	"net/http"
 	"sort"
 	"strings"
@@ -11,16 +10,11 @@ import (
 
 	"github.com/snails-bench/snails/internal/backend"
 	"github.com/snails-bench/snails/internal/datasets"
-	"github.com/snails-bench/snails/internal/evalx"
 	"github.com/snails-bench/snails/internal/experiments"
 	"github.com/snails-bench/snails/internal/llm"
-	"github.com/snails-bench/snails/internal/memo"
 	"github.com/snails-bench/snails/internal/nlq"
 	"github.com/snails-bench/snails/internal/schema"
-	"github.com/snails-bench/snails/internal/sqldb"
-	"github.com/snails-bench/snails/internal/sqlexec"
 	"github.com/snails-bench/snails/internal/trace"
-	"github.com/snails-bench/snails/internal/workflow"
 )
 
 // pool is a bounded worker pool with a fixed-depth queue. Submissions are
@@ -87,49 +81,44 @@ type inferOutcome struct {
 	err  *apiError
 }
 
-// runInfer is the per-request pipeline: prompt → model inference →
-// denaturalization → linking scores → relaxed execution match. Prompt
-// renders and parses are shared across requests by their own memos; gold
-// query results and predicted-query executions are memoized here.
+// runInfer evaluates one /v1/infer cell through the server's evaluator, the
+// same cell evaluator the sweep uses, and renders the scored cell as the
+// response. The evaluator memoizes the question's gold and prompts and each
+// distinct predicted query's execution.
 func (s *Server) runInfer(b *datasets.Built, v schema.Variant, q nlq.Question, be backend.Backend, tr *trace.Trace) (InferResponse, *apiError) {
 	// Not the request's context: a job whose waiter gave up still finishes
-	// and warms the caches.
+	// and warms the memos.
 	ctx := trace.NewContext(context.Background(), tr)
-	out := workflow.RunCtx(ctx, workflow.RunInput{B: b, Q: q, Variant: v, Backend: be})
+	cell, out, err := s.eval.Evaluate(ctx, b, q, be, v)
+	if err != nil {
+		return InferResponse{}, errorf(http.StatusInternalServerError, "gold_failed",
+			"gold query for %s#%d failed: %v", b.Name, q.ID, err)
+	}
 	if out.InferErr != nil {
 		return InferResponse{}, errorf(http.StatusBadGateway, "backend_failed",
 			"backend %s could not answer: %v", be.Name(), out.InferErr)
 	}
 
 	resp := InferResponse{
-		DB:         b.Name,
-		Model:      be.Name(),
-		Variant:    v.String(),
-		QuestionID: q.ID,
-		Question:   q.Text,
-		SQL:        out.Prediction.SQL,
-		NativeSQL:  out.NativeSQL,
-		Valid:      out.ParseOK,
+		DB:          b.Name,
+		Model:       be.Name(),
+		Variant:     v.String(),
+		QuestionID:  q.ID,
+		Question:    q.Text,
+		SQL:         out.Prediction.SQL,
+		NativeSQL:   out.NativeSQL,
+		Valid:       cell.ParseOK,
+		Recall:      cell.Link.Recall,
+		Precision:   cell.Link.Precision,
+		F1:          cell.Link.F1,
+		ExecCorrect: cell.ExecCorrect,
 	}
-	if !out.ParseOK {
+	switch {
+	case !cell.ParseOK:
 		s.verdicts.With("invalid").Inc()
-		return resp, nil
-	}
-	link := evalx.QueryLinkingSQL(q.Gold, out.NativeSQL)
-	resp.Recall, resp.Precision, resp.F1 = link.Recall, link.Precision, link.F1
-
-	gold, err := s.goldResult(ctx, b, q)
-	if err != nil {
-		return resp, errorf(500, "gold_failed", "gold query for %s#%d failed: %v", b.Name, q.ID, err)
-	}
-	if pred := s.predResult(ctx, b, out.NativeSQL); pred != nil {
-		t0 := tr.Now()
-		resp.ExecCorrect = evalx.CompareResults(gold, pred) == evalx.MatchYes
-		tr.Span(trace.StageMatch, t0)
-	}
-	if resp.ExecCorrect {
+	case cell.ExecCorrect:
 		s.verdicts.With("correct").Inc()
-	} else {
+	default:
 		s.verdicts.With("incorrect").Inc()
 	}
 	return resp, nil
@@ -177,57 +166,4 @@ func (s *Server) backendNamesLocked() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// goldResult executes (and memoizes) a question's gold query. The execution
-// is traced on first compute only; cache hits do no SQL work and record no
-// span.
-func (s *Server) goldResult(ctx context.Context, b *datasets.Built, q nlq.Question) (*sqldb.Result, error) {
-	key := fmt.Sprintf("%s#%d", b.Name, q.ID)
-	if v, ok := s.goldCache.Get(key); ok {
-		return v, nil
-	}
-	res, err := sqlexec.ExecuteSQLCtx(ctx, b.Instance, q.Gold)
-	if err != nil {
-		return nil, err
-	}
-	s.goldCache.Put(key, res)
-	return res, nil
-}
-
-// goldSQLResult executes an arbitrary caller-supplied gold query (the
-// /v1/link path, where gold is not a benchmark question). Errors are
-// reported to the caller, so results are not memoized through predCache's
-// nil-on-error convention.
-func (s *Server) goldSQLResult(ctx context.Context, b *datasets.Built, sql string) (*sqldb.Result, error) {
-	key := b.Name + "\x00gold\x00" + sql
-	if v, ok := s.goldCache.Get(key); ok {
-		return v, nil
-	}
-	res, err := sqlexec.ExecuteSQLCtx(ctx, b.Instance, sql)
-	if err != nil {
-		return nil, err
-	}
-	s.goldCache.Put(key, res)
-	return res, nil
-}
-
-// predResult executes (and memoizes) a predicted query; nil means the
-// prediction does not execute, which scores as an execution miss.
-func (s *Server) predResult(ctx context.Context, b *datasets.Built, sql string) *sqldb.Result {
-	key := b.Name + "\x00" + sql
-	return s.predCache.GetOrCompute(key, func() *sqldb.Result {
-		res, err := sqlexec.ExecuteSQLCtx(ctx, b.Instance, sql)
-		if err != nil {
-			return nil
-		}
-		return res
-	})
-}
-
-// newExecCaches builds the server's execution memos. Both are bounded:
-// /v1/link accepts arbitrary caller SQL, so even the gold side has an
-// unbounded key space in a long-running daemon.
-func newExecCaches() (gold *memo.Cache[*sqldb.Result], pred *memo.Cache[*sqldb.Result]) {
-	return memo.NewBounded[*sqldb.Result](1 << 13), memo.NewBounded[*sqldb.Result](1 << 14)
 }

@@ -54,9 +54,13 @@ func (s *Server) registerMetrics() {
 		func() float64 { return time.Since(m.start).Seconds() })
 
 	// --- memo caches ----------------------------------------------------
-	// Three cache classes: whole-response, gold-query results, predicted-
-	// query results. The response class reads the server's own hit counters
-	// (a nil cache means response caching is disabled and stays at zero).
+	// Three cache classes: whole responses, and the two memos of the
+	// server's evaluator: "gold" is the per-question inputs memo (gold
+	// result, identifiers and prompts; one lookup per /v1/infer
+	// evaluation), "pred" the query-execution memo (one lookup per parsed
+	// prediction and per /v1/link query). The response class reads the
+	// server's own hit counters (a nil cache means response caching is
+	// disabled and stays at zero).
 	counterBy := func(label string, f func() uint64) obs.Series {
 		return obs.Series{
 			Labels: []obs.Label{{Name: "cache", Value: label}},
@@ -71,25 +75,26 @@ func (s *Server) registerMetrics() {
 			return f()
 		}
 	}
+	gold, pred := s.eval.GoldMemo(), s.eval.PredMemo()
 	r.CounterSeries("snails_cache_hits_total", "Cache lookups that found their key, by cache class.",
 		counterBy("response", respStat(func() uint64 { return s.cache.Hits() })),
-		counterBy("gold", s.goldCache.Hits),
-		counterBy("pred", s.predCache.Hits),
+		counterBy("gold", gold.Hits),
+		counterBy("pred", pred.Hits),
 	)
 	r.CounterSeries("snails_cache_misses_total", "Cache lookups that missed, by cache class.",
 		counterBy("response", respStat(func() uint64 { return s.cache.Misses() })),
-		counterBy("gold", s.goldCache.Misses),
-		counterBy("pred", s.predCache.Misses),
+		counterBy("gold", gold.Misses),
+		counterBy("pred", pred.Misses),
 	)
 	r.CounterSeries("snails_cache_evictions_total", "Entries displaced by the clock hand, by cache class.",
 		counterBy("response", respStat(func() uint64 { return s.cache.Evictions() })),
-		counterBy("gold", s.goldCache.Evictions),
-		counterBy("pred", s.predCache.Evictions),
+		counterBy("gold", gold.Evictions),
+		counterBy("pred", pred.Evictions),
 	)
 	r.GaugeSeries("snails_cache_entries", "Entries currently resident, by cache class.",
 		counterBy("response", respStat(func() uint64 { return uint64(s.cache.Len()) })),
-		counterBy("gold", func() uint64 { return uint64(s.goldCache.Len()) }),
-		counterBy("pred", func() uint64 { return uint64(s.predCache.Len()) }),
+		counterBy("gold", func() uint64 { return uint64(gold.Len()) }),
+		counterBy("pred", func() uint64 { return uint64(pred.Len()) }),
 	)
 	r.CounterFunc("snails_cache_coalesced_total",
 		"Response-cache misses served from another request's in-flight compute (a subset of response misses).",

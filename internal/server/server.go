@@ -14,8 +14,11 @@
 //     below the server, so requests share that work without waiting for
 //     each other;
 //   - a sharded clock-hand cache (internal/memo) memoizes whole responses
-//     keyed by (endpoint, db, variant, body digest), and gold/predicted
-//     query executions are memoized independently;
+//     keyed by (endpoint, db, variant, body digest);
+//   - /v1/infer is scored by the sweep's cell evaluator
+//     (experiments.Evaluator), one bounded instance per server, which
+//     memoizes each question's gold and prompts and each distinct
+//     predicted query's execution;
 //   - every request runs under a deadline (504 on expiry) and shutdown
 //     runs every queued request before the process exits.
 //
@@ -46,7 +49,6 @@ import (
 	"github.com/snails-bench/snails/internal/experiments"
 	"github.com/snails-bench/snails/internal/memo"
 	"github.com/snails-bench/snails/internal/obs"
-	"github.com/snails-bench/snails/internal/sqldb"
 	"github.com/snails-bench/snails/internal/trace"
 )
 
@@ -140,9 +142,11 @@ type Server struct {
 	// the pipeline, followers receive its bytes through the flight (nil when
 	// caching is disabled — the flight shares exactly what the cache would
 	// have served a moment later, so the two are enabled together).
-	flight    *memo.Group[cachedResponse]
-	goldCache *memo.Cache[*sqldb.Result]
-	predCache *memo.Cache[*sqldb.Result]
+	flight *memo.Group[cachedResponse]
+	// eval scores /v1/infer cells and executes /v1/link queries. It is this
+	// server's own, so a fresh server (a new cluster shard) starts with
+	// empty gold and execution memos.
+	eval *experiments.Evaluator
 
 	// traces collects finished request traces and per-stage histograms;
 	// nil when tracing is disabled (every hook no-ops on nil).
@@ -196,7 +200,9 @@ func New(cfg Config) *Server {
 			s.traces.SetProcess("server")
 		}
 	}
-	s.goldCache, s.predCache = newExecCaches()
+	// Both memos are bounded: /v1/link accepts arbitrary caller SQL, so the
+	// execution memo has an unbounded key space in a long-running daemon.
+	s.eval = experiments.NewEvaluator(1<<13, 1<<14)
 	// The queue holds one job per /v1/infer request, so it is sized in
 	// requests: a burst of about a thousand concurrent requests queues
 	// instead of shedding, and at sub-millisecond service times even a full

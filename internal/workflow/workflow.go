@@ -115,7 +115,10 @@ func Run(in RunInput) RunOutput {
 // RunCtx is Run with trace propagation: when the context carries a
 // trace.Trace, the prompt render, model decode, and parse/denaturalize
 // stages are recorded as spans. Untraced contexts pay one nil check per
-// stage.
+// stage. It renders the prompt and hashes its text on every call, so it
+// suits one-off cells (the facade's Ask, the ablations); the sweep and the
+// serving daemon evaluate through experiments.Evaluator, which resolves
+// each prompt once and calls RunWithSchemaCtx.
 func RunCtx(ctx context.Context, in RunInput) RunOutput {
 	tr := trace.FromContext(ctx)
 	t0 := tr.Now()
@@ -126,10 +129,9 @@ func RunCtx(ctx context.Context, in RunInput) RunOutput {
 
 // RunWithSchemaCtx executes the pipeline for one cell against a pre-rendered
 // prompt (PromptFor's output for the cell) and its pre-parsed prompt-schema
-// handle (llm.PromptSchemaOf(prompt)). The sweep resolves both once per
-// (db, question, variant) job so the six model cells skip the per-cell
-// prompt-text hash. The prompt span is the caller's; decode and parse are
-// recorded here.
+// handle (llm.PromptSchemaOf(prompt)). The cell evaluator resolves both once
+// per (db, question, variant), so every model's cell skips the prompt-text
+// hash. The prompt span is the caller's; decode and parse are recorded here.
 func RunWithSchemaCtx(ctx context.Context, in RunInput, prompt string, tables []string, ps *llm.PromptSchema) RunOutput {
 	return runWithSchema(ctx, in, prompt, tables, ps)
 }
