@@ -46,8 +46,9 @@ func BucketUpperSeconds(i int) float64 {
 
 // Histogram is a fixed-bucket log-spaced latency histogram safe for
 // concurrent observation: one atomic add per observation, no locks, no
-// allocation. It replaces sort-based sample rings for per-stage data — the
-// memory is constant and a snapshot never needs to copy samples.
+// allocation. It is the only store of request and stage latency: the memory
+// is constant, a snapshot never copies samples, and snapshots taken in
+// several processes merge exactly by summing buckets.
 type Histogram struct {
 	counts   [NumBuckets]atomic.Uint64
 	count    atomic.Uint64
@@ -79,50 +80,74 @@ func (h *Histogram) Snapshot() (buckets [NumBuckets]uint64, sumSeconds float64) 
 	return buckets, float64(h.sumNanos.Load()) / float64(time.Second)
 }
 
-// Quantile estimates the q-th quantile (0..1) in milliseconds by locating
-// the bucket holding the target rank and interpolating linearly inside it.
-// Resolution is bounded by the bucket width (a factor of two), which is
-// adequate for the p50/p99 shape /metricsz reports.
+// Quantile estimates the q-th quantile (0..1) in milliseconds from the
+// histogram's current buckets; see BucketQuantile.
 func (h *Histogram) Quantile(q float64) float64 {
-	total := h.count.Load()
+	buckets, _ := h.Snapshot()
+	return BucketQuantile(buckets, q)
+}
+
+// BucketTotal returns the number of observations counted in buckets.
+func BucketTotal(buckets [NumBuckets]uint64) uint64 {
+	var n uint64
+	for _, c := range buckets {
+		n += c
+	}
+	return n
+}
+
+// BucketQuantile estimates the q-th quantile (0..1) in milliseconds of the
+// observations counted in buckets, by locating the bucket holding the
+// target rank and interpolating linearly inside it. Resolution is bounded by
+// the bucket width (a factor of two). Every quantile reported from a
+// histogram goes through here, whether the buckets are one process's or the
+// bucket-wise sum of several (AddBuckets): a merged quantile is then the
+// quantile of the union of the observations, not a blend of per-source
+// quantiles.
+func BucketQuantile(buckets [NumBuckets]uint64, q float64) float64 {
+	total := BucketTotal(buckets)
 	if total == 0 {
 		return 0
 	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
+	q = math.Min(math.Max(q, 0), 1)
 	rank := q * float64(total-1)
 	var cum float64
-	for i := 0; i < NumBuckets; i++ {
-		c := float64(h.counts[i].Load())
-		if c == 0 {
+	top := 0
+	for i, n := range buckets {
+		if n == 0 {
 			continue
 		}
+		c := float64(n)
 		if rank < cum+c {
 			// Interpolate within [lower, 2*lower) by rank position.
 			frac := (rank - cum) / c
-			lower := bucketLower(i)
-			return lower * (1 + frac) / 1000 // µs -> ms
+			return bucketLower(i) * (1 + frac) / 1000 // µs -> ms
 		}
 		cum += c
+		top = i
 	}
 	// Numerical fallthrough: report the top occupied bucket's upper bound.
-	for i := NumBuckets - 1; i >= 0; i-- {
-		if h.counts[i].Load() > 0 {
-			return bucketLower(i) * 2 / 1000
-		}
-	}
-	return 0
+	return bucketLower(top) * 2 / 1000
 }
 
-// MeanMillis returns the mean observed duration in milliseconds.
-func (h *Histogram) MeanMillis() float64 {
-	n := h.count.Load()
-	if n == 0 {
-		return 0
+// AddBuckets adds src's counts into dst bucket by bucket. src may be shorter
+// than NumBuckets: TrimBuckets drops the trailing empty buckets from the
+// JSON form that the cluster router merges.
+func AddBuckets(dst *[NumBuckets]uint64, src []uint64) {
+	for i := 0; i < len(src) && i < NumBuckets; i++ {
+		dst[i] += src[i]
 	}
-	return float64(h.sumNanos.Load()) / float64(n) / float64(time.Millisecond)
+}
+
+// TrimBuckets returns buckets up to the last non-empty one (nil when all are
+// empty): the compact form JSON documents carry.
+func TrimBuckets(buckets [NumBuckets]uint64) []uint64 {
+	n := NumBuckets
+	for n > 0 && buckets[n-1] == 0 {
+		n--
+	}
+	if n == 0 {
+		return nil
+	}
+	return append([]uint64(nil), buckets[:n]...)
 }

@@ -126,7 +126,7 @@ func TestInferMissCoalescingByteIdentity(t *testing.T) {
 	if byCache["miss"] != 1 || byCache["coalesced"] != followers {
 		t.Fatalf("X-Snails-Cache tally = %v, want 1 miss and %d coalesced", byCache, followers)
 	}
-	if snap := s.metrics.snapshot(0, 0); snap.CacheCoalesced != followers {
+	if snap := s.metricsSnapshot(); snap.CacheCoalesced != followers {
 		t.Fatalf("CacheCoalesced = %d, want %d", snap.CacheCoalesced, followers)
 	}
 

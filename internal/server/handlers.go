@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"time"
 
 	"github.com/snails-bench/snails/internal/datasets"
 	"github.com/snails-bench/snails/internal/evalx"
@@ -259,7 +260,7 @@ func (s *Server) handleLink(ctx context.Context, req *apiRequest) (any, *apiErro
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	resp := HealthResponse{
 		Status:        "ok",
-		UptimeSeconds: s.metrics.snapshot(0, 0).UptimeSeconds,
+		UptimeSeconds: time.Since(s.metrics.start).Seconds(),
 		Databases:     len(datasets.Names),
 	}
 	status := http.StatusOK
@@ -276,8 +277,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // (the cluster router's stitching fan-out uses this). Tracing disabled
 // (TraceBuffer < 0) answers 404 so probes can tell "off" from "idle".
 func (s *Server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
-	s.metrics.requests.Add(1)
-	s.metrics.countEndpoint("/debugz/traces")
+	s.metrics.byPath[pathTraces].Add(1)
 	if s.traces == nil {
 		s.writeError(w, errorf(http.StatusNotFound, "tracing_disabled",
 			"request tracing is disabled (start with a non-negative trace buffer)"))
@@ -321,15 +321,8 @@ func (s *Server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleMetricsz reports the serving counters.
+// handleMetricsz serves the JSON view of the serving metrics.
 func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
-	s.metrics.requests.Add(1)
-	s.metrics.countEndpoint("/metricsz")
-	entries, evictions := 0, uint64(0)
-	if s.cache != nil {
-		entries, evictions = s.cache.Len(), s.cache.Evictions()
-	}
-	snap := s.metrics.snapshot(entries, evictions)
-	snap.Stages = s.traces.Stages()
-	s.writeDoc(w, http.StatusOK, snap)
+	s.metrics.byPath[pathMetricsz].Add(1)
+	s.writeDoc(w, http.StatusOK, s.metricsSnapshot())
 }

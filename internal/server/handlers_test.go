@@ -339,7 +339,7 @@ func TestResponseCache(t *testing.T) {
 	if first.Body.String() != second.Body.String() {
 		t.Error("cached response differs from computed response")
 	}
-	if s.metrics.cacheHits.Load() == 0 {
+	if s.cache.Hits() == 0 {
 		t.Error("cache hit not counted")
 	}
 }

@@ -12,15 +12,6 @@ import (
 	"github.com/snails-bench/snails/internal/trace"
 )
 
-// scrapePaths is the fixed endpoint set the per-path request counter exposes.
-// A fixed list (rather than enumerating the sync.Map at scrape time) keeps
-// the label space identical across scrapes, so dashboards and the check.sh
-// monotone smoke can address any series before its first request.
-var scrapePaths = []string{
-	"/v1/infer", "/v1/classify", "/v1/modify", "/v1/link",
-	"/metrics", "/metricsz", "/debugz/traces",
-}
-
 // registerMetrics builds the server's registry. Families fall into three
 // groups: counters owned by this Server (HTTP, cache, pool), reads
 // of process-wide tallies owned by other packages (sqlexec, sweep outcomes,
@@ -34,10 +25,10 @@ func (s *Server) registerMetrics() {
 	// --- HTTP serving ---------------------------------------------------
 	pathSeries := make([]obs.Series, len(scrapePaths))
 	for i, p := range scrapePaths {
-		p := p
+		n := &m.byPath[i]
 		pathSeries[i] = obs.Series{
 			Labels: []obs.Label{{Name: "path", Value: p}},
-			F:      func() float64 { return float64(m.endpointCount(p)) },
+			F:      func() float64 { return float64(n.Load()) },
 		}
 	}
 	r.CounterSeries("snails_http_requests_total", "Requests received, by path.", pathSeries...)
@@ -59,8 +50,8 @@ func (s *Server) registerMetrics() {
 	// result, identifiers and prompts; one lookup per /v1/infer
 	// evaluation), "pred" the query-execution memo (one lookup per parsed
 	// prediction and per /v1/link query). The response class reads the
-	// server's own hit counters (a nil cache means response caching is
-	// disabled and stays at zero).
+	// response cache's own counters, as /metricsz does (a nil cache means
+	// response caching is disabled and stays at zero).
 	counterBy := func(label string, f func() uint64) obs.Series {
 		return obs.Series{
 			Labels: []obs.Label{{Name: "cache", Value: label}},
@@ -182,8 +173,7 @@ func (s *Server) registerMetrics() {
 
 // handleMetrics serves the registry in Prometheus text format v0.0.4.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.metrics.requests.Add(1)
-	s.metrics.countEndpoint("/metrics")
+	s.metrics.byPath[pathMetrics].Add(1)
 	if r.Method != http.MethodGet && r.Method != http.MethodHead {
 		s.writeError(w, errorf(http.StatusMethodNotAllowed, "method_not_allowed", "/metrics requires GET"))
 		return

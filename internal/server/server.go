@@ -210,10 +210,10 @@ func New(cfg Config) *Server {
 	s.pool = newPool(cfg.Workers, 64*cfg.Workers+1024)
 	s.registerMetrics()
 
-	s.mux.HandleFunc("/v1/infer", s.post("/v1/infer", s.handleInfer))
-	s.mux.HandleFunc("/v1/classify", s.post("/v1/classify", s.handleClassify))
-	s.mux.HandleFunc("/v1/modify", s.post("/v1/modify", s.handleModify))
-	s.mux.HandleFunc("/v1/link", s.post("/v1/link", s.handleLink))
+	s.mux.HandleFunc("/v1/infer", s.post(pathInfer, s.handleInfer))
+	s.mux.HandleFunc("/v1/classify", s.post(pathClassify, s.handleClassify))
+	s.mux.HandleFunc("/v1/modify", s.post(pathModify, s.handleModify))
+	s.mux.HandleFunc("/v1/link", s.post(pathLink, s.handleLink))
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	s.mux.HandleFunc("/metricsz", s.handleMetricsz)
@@ -299,11 +299,11 @@ func (w *statusWriter) WriteHeader(code int) {
 // post wraps an endpoint with the shared serving concerns: method check,
 // body cap, request deadline, response cache, metrics, access logging, and
 // uniform error rendering.
-func (s *Server) post(endpoint string, h handlerFunc) http.HandlerFunc {
+func (s *Server) post(path int, h handlerFunc) http.HandlerFunc {
+	endpoint := scrapePaths[path]
 	return func(rw http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		s.metrics.requests.Add(1)
-		s.metrics.countEndpoint(endpoint)
+		s.metrics.byPath[path].Add(1)
 		s.metrics.inflight.Add(1)
 		defer s.metrics.inflight.Add(-1)
 
@@ -317,7 +317,6 @@ func (s *Server) post(endpoint string, h handlerFunc) http.HandlerFunc {
 		)
 		defer func() {
 			d := time.Since(start)
-			s.metrics.lat.record(d)
 			s.metrics.dur.Observe(d)
 			// The canonical wide line: one record per completed request with
 			// everything needed to debug it in isolation (trace_id, db, and
@@ -405,13 +404,11 @@ func (s *Server) post(endpoint string, h handlerFunc) http.HandlerFunc {
 		key := s.cacheKey(endpoint, &req)
 		if s.cache != nil {
 			if hit, ok := s.cache.Get(key); ok {
-				s.metrics.cacheHits.Add(1)
 				cacheVerdict = "hit"
 				w.Header().Set("X-Snails-Cache", "hit")
 				s.writeJSON(w, hit.status, hit.body)
 				return
 			}
-			s.metrics.cacheMiss.Add(1)
 			cacheVerdict = "miss"
 			w.Header().Set("X-Snails-Cache", "miss")
 		}

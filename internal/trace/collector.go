@@ -3,10 +3,13 @@ package trace
 import (
 	"crypto/rand"
 	"encoding/binary"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"github.com/snails-bench/snails/internal/obs"
 )
 
 // Collector owns the finished-trace ring and the per-stage histograms. One
@@ -23,7 +26,7 @@ type Collector struct {
 	next  int
 	count int
 
-	stages [NumStages]Histogram
+	stages [NumStages]obs.Histogram
 }
 
 // NewCollector builds a collector retaining the last limit finished traces.
@@ -248,12 +251,35 @@ type StageSnapshot struct {
 	MeanMillis   float64 `json:"mean_ms"`
 	P50Millis    float64 `json:"p50_ms"`
 	P99Millis    float64 `json:"p99_ms"`
+	// Buckets are the stage histogram's raw counts (obs.TrimBuckets form:
+	// Buckets[i] counts spans in [2^i, 2^(i+1)) µs), so stage rows from
+	// several processes merge by summing buckets.
+	Buckets []uint64 `json:"buckets,omitempty"`
+}
+
+// NewStageSnapshot builds a stage row from histogram buckets and the summed
+// span time. The collector's own rows and the cluster's merged rows (summed
+// buckets and totals) both come from here, so a merged row is exactly the
+// row of the union histogram.
+func NewStageSnapshot(stage string, buckets [obs.NumBuckets]uint64, totalSeconds float64) StageSnapshot {
+	st := StageSnapshot{
+		Stage:        stage,
+		Count:        obs.BucketTotal(buckets),
+		TotalSeconds: totalSeconds,
+		Buckets:      obs.TrimBuckets(buckets),
+	}
+	if st.Count > 0 {
+		st.MeanMillis = round3(1000 * totalSeconds / float64(st.Count))
+		st.P50Millis = round3(obs.BucketQuantile(buckets, 0.50))
+		st.P99Millis = round3(obs.BucketQuantile(buckets, 0.99))
+	}
+	return st
 }
 
 // StageHistogram returns the collector's latency histogram for one stage so
 // the metrics registry can expose it as a Prometheus histogram series.
 // Callers must treat it as observe-only; nil collectors return nil.
-func (c *Collector) StageHistogram(s Stage) *Histogram {
+func (c *Collector) StageHistogram(s Stage) *obs.Histogram {
 	if c == nil || s >= NumStages {
 		return nil
 	}
@@ -268,19 +294,14 @@ func (c *Collector) Stages() []StageSnapshot {
 	}
 	out := make([]StageSnapshot, 0, NumStages)
 	for s := Stage(0); s < NumStages; s++ {
-		h := &c.stages[s]
-		n := h.Count()
-		if n == 0 {
-			continue
+		buckets, sum := c.stages[s].Snapshot()
+		if st := NewStageSnapshot(s.String(), buckets, sum); st.Count > 0 {
+			out = append(out, st)
 		}
-		out = append(out, StageSnapshot{
-			Stage:        s.String(),
-			Count:        n,
-			TotalSeconds: float64(h.TotalNanos()) / float64(time.Second),
-			MeanMillis:   round3(h.MeanMillis()),
-			P50Millis:    round3(h.Quantile(0.50)),
-			P99Millis:    round3(h.Quantile(0.99)),
-		})
 	}
 	return out
 }
+
+// round3 trims a millisecond figure to microsecond precision so JSON
+// renderings stay readable.
+func round3(ms float64) float64 { return math.Round(ms*1000) / 1000 }

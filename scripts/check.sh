@@ -87,7 +87,7 @@ done
 curl -fsS -o /dev/null http://127.0.0.1:18931/debug/pprof/
 curl -fsS http://127.0.0.1:18931/debugz/traces | grep -q '"traces"'
 
-echo "== /metrics scrape smoke (Prometheus format, monotone self-count)"
+echo "== /metrics scrape smoke (Prometheus format, monotone self-count, /metricsz agreement)"
 SCRATCH="$(mktemp -d)"
 curl -fsS http://127.0.0.1:18931/metrics > "$SCRATCH/scrape1.txt"
 grep -q '^# TYPE snails_http_requests_total counter' "$SCRATCH/scrape1.txt"
@@ -99,6 +99,10 @@ M1="$(grep 'snails_http_requests_total{path="/metrics"}' "$SCRATCH/scrape1.txt" 
 M2="$(grep 'snails_http_requests_total{path="/metrics"}' "$SCRATCH/scrape2.txt" | awk '{print $2}')"
 C2="$(grep 'snails_http_requests_total{path="/v1/classify"}' "$SCRATCH/scrape2.txt" | awk '{print $2}')"
 awk -v a="$M1" -v b="$M2" -v c="$C2" 'BEGIN { if (!(b > a && c >= 1)) { print "scrape counters not monotone: /metrics " a " -> " b ", /v1/classify " c; exit 1 } }'
+# /metricsz is a JSON view over the same sources as /metrics, so its
+# per-path count must equal the scraped series.
+Z2="$(curl -fsS http://127.0.0.1:18931/metricsz | grep -o '"/v1/classify":[0-9]*' | cut -d: -f2)"
+awk -v z="$Z2" -v c="$C2" 'BEGIN { if (z == "" || z+0 != c+0) { print "/metricsz requests_by_path[/v1/classify] = \"" z "\", /metrics says " c; exit 1 } }'
 
 kill -TERM "$SNAILSD_PID"
 wait "$SNAILSD_PID"
